@@ -140,26 +140,32 @@ def ppow(p, n):
 def pdivexact(num, den):
     """Exact division of poly dicts; returns quotient or raises InexactDivision.
 
-    Leading-term elimination under lex order on (e_a, e_q, e_t); iteration
-    capped, which suffices for every divisor the pipeline produces.
+    Leading-term elimination under lex order on (e_q, e_t, e_a), the order
+    of the key tuples.  Degrees in each variable add under multiplication,
+    so an exact quotient lies in the box
+    min_v(num) - min_v(den) <= e_v <= max_v(num) - max_v(den), v = q, t, a,
+    and every key the loop produces is a key of that quotient.  The first
+    key outside the box therefore proves the division inexact.  Leading keys
+    fall strictly in lex order and the box holds finitely many of them, so
+    the loop always ends.  (A lex floor alone does not bound the loop: lex
+    order has infinitely many keys above any floor.)
     """
     if not den:
         raise ZeroDivisionError
     if not num:
         return {}
+    lo = [min(k[v] for k in num) - min(k[v] for k in den) for v in range(3)]
+    hi = [max(k[v] for k in num) - max(k[v] for k in den) for v in range(3)]
     dlead = max(den)
     dc = den[dlead]
     rem = dict(num)
     quo = {}
-    steps = 0
-    cap = 64 * (len(num) + len(den)) + 4096
     while rem:
-        steps += 1
-        if steps > cap:
-            raise InexactDivision("division did not terminate")
         lead = max(rem)
         qk = (_ex(lead[0] - dlead[0]), _ex(lead[1] - dlead[1]),
               lead[2] - dlead[2])
+        if not all(lo[v] <= qk[v] <= hi[v] for v in range(3)):
+            raise InexactDivision(f"quotient key {qk} outside its degree box")
         qc = _co(Fraction(rem[lead], dc))
         quo[qk] = qc
         for k, c in den.items():

@@ -1,12 +1,17 @@
 """End-to-end invariants: rank polynomials, a-stabilization, specializations."""
 
+import json
+
 import pytest
 
-from dahalink.links import Path, ColoredForest, LinkPair, parse_dsl, lower_twist
+from dahalink.links import (
+    Path, ColoredForest, LinkPair, parse_dsl, lower_twist, cab_params,
+)
 from dahalink.scalars import (
-    Scal, poly_parse, poly_text, pmul, psubstitute, hat_normalize,
+    Scal, poly_parse, poly_text, pmul, pdivexact, psubstitute, hat_normalize,
 )
 from dahalink import pipeline as pl
+from dahalink.cli import main
 
 
 TREFOIL = "{[3,2]->(1)}"
@@ -192,6 +197,35 @@ def test_alexander_values():
     assert pl.spec_alexander(sup(CABLE_32_11)) == poly_parse("1 + q^4")
 
 
+def _x_power_minus_one(n):
+    return {(n, 0, 0): 1, (0, 0, 0): -1}
+
+
+def _torus_alexander(r, s, scale):
+    """Delta_{T(r,s)}(x^scale) = (x^rs - 1)(x - 1) / ((x^r - 1)(x^s - 1))."""
+    if min(abs(r), abs(s)) <= 1:
+        return poly_parse("1")
+    num = pmul(_x_power_minus_one(r * s * scale), _x_power_minus_one(scale))
+    den = pmul(_x_power_minus_one(r * scale), _x_power_minus_one(s * scale))
+    return pdivexact(num, den)
+
+
+@pytest.mark.parametrize("dsl", [
+    TREFOIL, "{[5,2]->(1)}", "{[4,3]->(1)}",
+    "{[2,1],[2,1]->(1)}", "{[2,1],[2,3]->(1)}",
+])
+def test_alexander_matches_cabling_formula(dsl):
+    """Seifert: Delta_K(x) = prod_i Delta_{T(r_i,a_i)}(x^{r_{i+1}...r_l})."""
+    (params,) = cab_params(parse_dsl(dsl).first)
+    want = poly_parse("1")
+    for i, (a, r) in enumerate(params):
+        scale = 1
+        for _, rr in params[i + 1:]:
+            scale *= rr
+        want = pmul(want, _torus_alexander(r, a, scale))
+    assert pl.spec_alexander(sup(dsl)) == hat_normalize(want)[0]
+
+
 def test_khovanov_variant_a():
     assert pl.spec_khovanov(sup(T22), 1, "A") == poly_parse(
         "1 + q^2 + q^4*t^2 + q^6*t^2")
@@ -271,3 +305,25 @@ def test_stabilization_window_recorded():
     assert s.verified_rank == s.ranks[-1] + 1
     assert pl._at_rank(s.poly, s.verified_rank) == \
         pl.jd(parse_dsl(T22), s.verified_rank).poly
+
+
+# ---------------------------------------------------------------------------
+# console command
+
+def test_cli_super_trefoil(capsys):
+    assert main(["super", TREFOIL]) == 0
+    out = json.loads(capsys.readouterr().out)
+    s = sup(TREFOIL)
+    assert out == {"poly_text": "1 + q*t + a*q", "ranks": list(s.ranks),
+                   "verified_rank": s.verified_rank, "deg_a": 1}
+
+
+def test_cli_rank_trefoil(capsys):
+    assert main(["rank", TREFOIL, "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"poly_text": "1 + q*t - q*t^2", "rank": 1}
+
+
+def test_cli_bad_link():
+    with pytest.raises(SystemExit):
+        main(["super", "{[3,2]->"])

@@ -45,13 +45,28 @@ def test_pow():
 
 
 def test_divexact():
-    num = pmul(P("1 - q*t"), P("1 + q + t^3"))
-    assert pdivexact(num, P("1 - q*t")) == P("1 + q + t^3")
+    cases = [
+        (P("1 + q + t^3"), P("1 - q*t")),
+        # long exact quotient: 5000 steps of elimination
+        ({(i, 0, 0): 1 for i in range(5000)}, P("1 - q")),
+        # q-exponents on the rank lattice (denominators 2(n+1)), t on halves
+        (padd(pmono(Fraction(1, 2), Fraction(-1, 2)),
+              pmono(Fraction(-1, 6), 1, 1, 3)),
+         padd(pone(), pmono(Fraction(3, 2), Fraction(1, 2), c=-1))),
+    ]
+    for quo, den in cases:
+        assert pdivexact(pmul(quo, den), den) == quo
 
 
 def test_divexact_fails_on_remainder():
-    with pytest.raises(InexactDivision):
-        pdivexact(P("1 + q + q^3"), P("1 - q*t"))
+    cases = [
+        (P("1 + q + q^3"), P("1 - q*t")),
+        # infinitely many lex-order keys lie above the quotient's lex floor
+        (P("1 + q^-1"), P("1 - t")),
+    ]
+    for num, den in cases:
+        with pytest.raises(InexactDivision):
+            pdivexact(num, den)
 
 
 def test_pdivides_none():
@@ -105,6 +120,17 @@ def test_text_roundtrip(p):
 def test_ring_axioms(f, g, h):
     assert pmul(f, padd(g, h)) == padd(pmul(f, g), pmul(f, h))
     assert pmul(pmul(f, g), h) == pmul(f, pmul(g, h))
+
+
+@given(polys(), polys().filter(lambda b: len(b) >= 2),
+       st.tuples(expos, expos, aexpos), coeffs.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_divexact_property(a, b, key, c):
+    ab = pmul(a, b)
+    assert pdivexact(ab, b) == a
+    # a monomial is a unit, so no multiple of b differs from ab by one
+    with pytest.raises(InexactDivision):
+        pdivexact(padd(ab, pmono(*key, c=c)), b)
 
 
 # ---------------------------------------------------------------------------
