@@ -25,18 +25,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scal, pmono, _ex, InexactDivision
+from .scalars import Scal, _ex
 from . import weights as wt
 
 
 HALF = Fraction(1, 2)
+T_HALF = (0, HALF, 0)
+T_MHALF = (0, -HALF, 0)
 
 
 # ---------------------------------------------------------------------------
 # XPoly helpers
-
-def xp_zero():
-    return {}
 
 def xp_one(n):
     return {wt.zero(n): Scal.one()}
@@ -77,6 +76,18 @@ def xp_mul(f, g):
                 acc[b] = s
     return acc
 
+def _add_term(acc, b, w, j, c, s, cq):
+    """acc += s q^{cq j} c X_{b + j w}."""
+    k = tuple(x + j * y for x, y in zip(b, w)) if j else b
+    v = c.scale(s, (cq * j, 0, 0)) if s != 1 or cq * j else c
+    cur = acc.get(k)
+    if cur is not None:
+        v = cur.add(v)
+        if v.is_zero():
+            del acc[k]
+            return
+    acc[k] = v
+
 def xp_eq(f, g):
     if set(f) != set(g):
         ks = set(f) | set(g)
@@ -108,8 +119,9 @@ class Rep:
         self.theta = wt.theta(n)
         self.mtheta = wt.wt_neg(self.theta)
         self.omegas = [None] + [wt.fundamental(n, i) for i in range(1, n + 1)]
+        self.alphas = [None] + [wt.alpha(n, i) for i in range(1, n + 1)]
         self.rho_pt = wt.minus_rho_k(n)
-        # s_i key maps via epsilon swaps
+        # pi_r permutes keys through the Weyl part u_r of omega_r
         self._uinv = [None] + [wt.perm_inv(wt.u_perm(self.n1, r))
                                for r in range(1, n + 1)]
         self._uword = [None] + [wt.reduced_word(wt.u_perm(self.n1, r))
@@ -118,78 +130,50 @@ class Rep:
                                  for r in range(1, n + 1)]
         self._img_memo = {}
         self.t_half = Scal.mono(et=HALF)
-        self.t_mhalf = Scal.mono(et=-HALF)
-        self.t_diff = self.t_half.sub(self.t_mhalf)
-
-    # -- elementary symmetries -------------------------------------------
-
-    def s_i_key(self, i, b):
-        v = list(wt.to_eps(b))
-        v[i - 1], v[i] = v[i], v[i - 1]
-        return wt.from_eps(tuple(v))
-
-    def s_theta_key(self, b):
-        v = list(wt.to_eps(b))
-        v[0], v[-1] = v[-1], v[0]
-        return wt.from_eps(tuple(v))
+        self.t_diff = self.t_half.sub(Scal.mono(et=-HALF))
 
     # -- generator actions -----------------------------------------------
 
-    def refl_op(self, i, f):
-        """s_i for i >= 1; for i == 0 the affine reflection with its q-power."""
-        out = {}
-        if i >= 1:
-            for b, c in f.items():
-                xp_add_into(out, {self.s_i_key(i, b): c})
-        else:
-            for b, c in f.items():
-                e = sum(b)  # (b, theta)
-                xp_add_into(out, {self.s_theta_key(b): c.scale(1, (e, 0, 0))})
-        return out
-
-    def _div_binomial(self, g, w, cq=0):
-        """Divide g exactly by (q^cq X_w - 1)."""
-        quo = {}
-        g = dict(g)
-        steps = 0
-        cap = 64 * len(g) + 4096
-        while g:
-            steps += 1
-            if steps > cap:
-                raise InexactDivision("string division did not terminate")
-            m = None
-            for b in g:
-                p = wt.pairing(b, w)
-                if m is None or p > m:
-                    m = p
-                    top = b
-            c = g.pop(top).scale(1, (_ex(-cq), 0, 0))
-            h = wt.wt_add(top, wt.wt_neg(w))
-            cur = quo.get(h)
-            s = c if cur is None else cur.add(c)
-            if s.is_zero():
-                quo.pop(h, None)
-            else:
-                quo[h] = s
-            cur = g.get(h)
-            s = c if cur is None else cur.add(c)
-            if s.is_zero():
-                g.pop(h, None)
-            else:
-                g[h] = s
-        return quo
-
     def t_op(self, i, f, sign=1):
-        if sign == -1:
-            return xp_add_into(self.t_op(i, f), f, self.t_diff.neg())
-        sf = self.refl_op(i, f)
-        diff = xp_add_into(dict(sf), f, Scal.mono(c=-1))
-        if i >= 1:
-            quo = self._div_binomial(diff, wt.alpha(self.n, i))
-        else:
-            quo = self._div_binomial(diff, self.mtheta, cq=1)
-        out = xp_scale(sf, self.t_half)
-        return xp_add_into(out, quo, self.t_diff)
+        """T_i^sign on an XPoly, in closed form monomial by monomial.
+
+        T_i is the Demazure-Lusztig operator
+        t^{1/2} s_i + (t^{1/2} - t^{-1/2}) (s_i - 1)/(Z - 1), where
+        Z = q^cq X_w with w = alpha_i, cq = 0 for i >= 1 and w = -theta,
+        cq = 1 for i = 0.  With e = -(b, w), so that s_i X_b = X_b Z^e,
+
+            T_i X_b = t^{1/2} X_b Z^e + (t^{1/2} - t^{-1/2}) X_b G_e(Z),
+
+        G_e = 1 + Z + ... + Z^{e-1} for e > 0, -(Z^{-1} + ... + Z^e) for
+        e < 0 and G_0 = 0.  T_i^{-1} = T_i - (t^{1/2} - t^{-1/2}) folds into
+        the same pass: it subtracts X_b from the second sum.  A collects the
+        coefficients of t^{1/2} and D those of t^{1/2} - t^{-1/2}, by signs
+        and q-shifts alone; the result is t^{1/2} (A + D) - t^{-1/2} D.
+        """
+        w, cq = (self.alphas[i], 0) if i else (self.mtheta, 1)
+        A, D = {}, {}
+        for b, c in f.items():
+            e = -b[i - 1] if i else sum(b)
+            if e > 0:
+                js, s = range(0 if sign == 1 else 1, e), 1
+            else:
+                js, s = range(e, 0 if sign == 1 else 1), -1
+            for j in js:
+                _add_term(D, b, w, j, c, s, cq)
+            _add_term(A, b, w, e, c, 1, cq)
+        out = {}
+        for b, d in D.items():
+            a = A.pop(b, None)
+            v = d.scale(-1, T_MHALF)
+            if a is not None:
+                d = d.add(a)
+            if not d.is_zero():
+                v = v.add(d.scale(1, T_HALF))
+            if not v.is_zero():
+                out[b] = v
+        for b, a in A.items():
+            out[b] = a.scale(1, T_HALF)
+        return out
 
     def pi_op(self, r, f, sign=1):
         if sign == -1:
@@ -329,11 +313,6 @@ class Rep:
                 out.extend(term)
         memo[key] = out
         return out
-
-
-def _inv_atoms(rep, atoms):
-    return tuple((a[0], a[1], -a[2]) if a[0] in ('T', 'P')
-                 else ('X', wt.wt_neg(a[1])) for a in reversed(atoms))
 
 
 @lru_cache(maxsize=None)

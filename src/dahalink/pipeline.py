@@ -221,8 +221,8 @@ def superpolynomial(pair, norm="min"):
     m0 = max([1] + [len(c) for c in _all_colors(low)])
     for attempt in range(MAX_WINDOW_SHIFTS + 1):
         ranks = list(range(m0, m0 + deg + 1))
+        vals = [jd(low, m, norm).poly for m in ranks]
         try:
-            vals = [jd(low, m, norm).poly for m in ranks]
             out = _interpolate_a(vals, ranks)
         except InexactDivision:
             out = None
@@ -260,11 +260,9 @@ def generalized_twist(pair, norm="min", nested=False):
     m0 = max([1] + [len(c) for c in _all_colors(low)])
     for attempt in range(MAX_WINDOW_SHIFTS + 1):
         ranks = list(range(m0, m0 + deg + 1))
+        vals = [hat_normalize(jd_raw(pair, m, norm, nested_twist=True)
+                              .as_poly())[0] for m in ranks]
         try:
-            vals = []
-            for m in ranks:
-                v = jd_raw(pair, m, norm, nested_twist=True)
-                vals.append(hat_normalize(v.as_poly())[0])
             out = _interpolate_a(vals, ranks)
         except InexactDivision:
             out = None

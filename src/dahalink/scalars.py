@@ -53,6 +53,8 @@ def _ex(e):
     """Normalize an exponent: ints stay, integral Fractions collapse to int."""
     if type(e) is int:
         return e
+    if type(e) is Fraction:
+        return e.numerator if e.denominator == 1 else e
     f = Fraction(e)
     return f.numerator if f.denominator == 1 else f
 

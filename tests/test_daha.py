@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dahalink import weights as wt
-from dahalink.scalars import Scal, hat_normalize, poly_text
+from dahalink.scalars import Scal, hat_normalize, poly_text, pmono, padd_into
 from dahalink.daha import (
     get_rep, xp_one, xp_mono, xp_add, xp_add_into, xp_scale, xp_mul, xp_eq,
     xp_eval, NotCoprime, word_matrix, word_of_rs, gamma_hat_project, HALF,
@@ -26,6 +26,78 @@ def basket(n, seed):
                 f[b] = Scal.mono(c=c)
         out.append(f)
     return out
+
+
+def t_op_by_division(rep, i, f, sign=1):
+    """Reference T_i^sign: t^{1/2} s_i f + (t^{1/2} - t^{-1/2}) g, where g is
+    the exact quotient of s_i f - f by q^cq X_w - 1 (w = alpha_i, cq = 0 for
+    i >= 1; w = -theta, cq = 1 for i = 0), and T_i^{-1} = T_i - (t^{1/2} -
+    t^{-1/2})."""
+    w, cq = (wt.alpha(rep.n, i), 0) if i else (rep.mtheta, 1)
+    sf = {}
+    for b, c in f.items():
+        v = list(wt.to_eps(b))
+        if i:
+            v[i - 1], v[i] = v[i], v[i - 1]
+        else:
+            v[0], v[-1] = v[-1], v[0]
+            c = c.scale(1, (sum(b), 0, 0))      # q^{(b, theta)}
+        xp_add_into(sf, {wt.from_eps(tuple(v)): c})
+    quo = _div_binomial(xp_add_into(dict(sf), f, Scal.mono(c=-1)), w, cq)
+    out = xp_add_into(xp_scale(sf, rep.t_half), quo, rep.t_diff)
+    if sign == -1:
+        xp_add_into(out, f, rep.t_diff.neg())
+    return out
+
+
+def _div_binomial(g, w, cq):
+    """Exact quotient of g by q^cq X_w - 1, by string division.
+
+    Each step removes the key b with the largest (b, w) and carries its
+    coefficient, times q^-cq, down to b - w.  An exact quotient has no key
+    with (b, w) below the least (b, w) of g, so such a key proves the
+    division inexact.
+    """
+    g = dict(g)
+    lo = min((wt.pairing(b, w) for b in g), default=0)
+    quo = {}
+    while g:
+        top = max(g, key=lambda b: wt.pairing(b, w))
+        h = wt.wt_add(top, wt.wt_neg(w))
+        if wt.pairing(h, w) < lo:
+            raise AssertionError("q^cq X_w - 1 does not divide g")
+        c = g.pop(top).scale(1, (-cq, 0, 0))
+        xp_add_into(quo, {h: c})
+        xp_add_into(g, {h: c})
+    return quo
+
+
+@st.composite
+def xpolys(draw, n):
+    """Small random XPolys of rank n; each coefficient is a sum of monomials
+    with q-exponents in steps of 1/(2(n+1)) and t-exponents in halves."""
+    f = {}
+    for _ in range(draw(st.integers(1, 4))):
+        b = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        num = {}
+        for _ in range(draw(st.integers(1, 2))):
+            eq = Fraction(draw(st.integers(-6, 6)), 2 * (n + 1))
+            et = Fraction(draw(st.integers(-2, 2)), 2)
+            padd_into(num, pmono(eq, et, 0, draw(st.integers(-3, 3))))
+        xp_add_into(f, {b: Scal(num)})
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_t_op_matches_division(n, data):
+    rep = get_rep(n)
+    f = data.draw(xpolys(n))
+    for i in range(n + 1):
+        for sign in (1, -1):
+            assert xp_eq(rep.t_op(i, f, sign),
+                         t_op_by_division(rep, i, f, sign))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -8,7 +8,8 @@ from dahalink.links import (
     Path, ColoredForest, LinkPair, parse_dsl, lower_twist, cab_params,
 )
 from dahalink.scalars import (
-    Scal, poly_parse, poly_text, pmul, pdivexact, psubstitute, hat_normalize,
+    Scal, InexactDivision, poly_parse, poly_text, pmul, pdivexact,
+    psubstitute, hat_normalize,
 )
 from dahalink import pipeline as pl
 from dahalink.cli import main
@@ -93,6 +94,21 @@ def test_twist_column_equals_cable():
 def test_twist_nested_route_agrees():
     pair = parse_dsl(TWIST_11)
     assert pl.generalized_twist(pair, nested=True).poly == sup(TWIST_11).poly
+
+
+def test_inexact_rank_value_is_not_a_window_shift(monkeypatch):
+    """Only the a-interpolation may shift the window; an inexact division
+    inside one rank's evaluation is a bug and must reach the caller."""
+    jd = pl.jd
+
+    def failing_jd(pair, rank, *args, **kwargs):
+        if rank == 2:
+            raise InexactDivision("planted at rank 2")
+        return jd(pair, rank, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "jd", failing_jd)
+    with pytest.raises(InexactDivision, match="planted"):
+        pl.superpolynomial(parse_dsl(TREFOIL))
 
 
 def test_deg_a_recorded():
@@ -212,7 +228,7 @@ def _torus_alexander(r, s, scale):
 
 @pytest.mark.parametrize("dsl", [
     TREFOIL, "{[5,2]->(1)}", "{[4,3]->(1)}",
-    "{[2,1],[2,1]->(1)}", "{[2,1],[2,3]->(1)}",
+    "{[2,1],[2,1]->(1)}", "{[2,1],[2,3]->(1)}", "{[2,1],[3,1]->(1)}",
 ])
 def test_alexander_matches_cabling_formula(dsl):
     """Seifert: Delta_K(x) = prod_i Delta_{T(r_i,a_i)}(x^{r_{i+1}...r_l})."""
