@@ -10,6 +10,7 @@ import json
 from .links import parse_dsl
 from .pipeline import jd, superpolynomial
 from .scalars import poly_text
+from .weights import RankTooSmall
 
 
 def main(argv=None):
@@ -35,8 +36,11 @@ def main(argv=None):
     else:
         if args.rank < 1:
             ap.error("rank must be at least 1")
-        out = {"poly_text": poly_text(jd(pair, args.rank).poly),
-               "rank": args.rank}
+        try:
+            inv = jd(pair, args.rank)
+        except RankTooSmall as e:
+            ap.error(str(e))
+        out = {"poly_text": poly_text(inv.poly), "rank": args.rank}
     print(json.dumps(out))
     return 0
 

@@ -21,13 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import totient
-
 from .scalars import (Scal, pmono, pone, pmul, padd_into, pscale, _ex,
-                      binomial_atoms, FactoredBinomial)
+                      _cyclo_coeffs, binomial_atoms, FactoredBinomial)
 from . import weights as wt
 from .daha import (get_rep, xp_one, xp_mono, xp_add_into, xp_scale, xp_mul,
-                   xp_eq, xp_eval, HALF)
+                   xp_eval, HALF)
 
 
 class EigenvalueCollision(Exception):
@@ -394,7 +392,7 @@ def star_scal(c):
         if atm[0] != 'c':
             raise NotImplementedError("star of an a-linear atom")
         _, d, aq, at = atm
-        phi = int(totient(d))
+        phi = len(_cyclo_coeffs(d)) - 1          # deg Phi_d = phi(d)
         eq = _ex(eq + phi * aq)
         et = _ex(et + phi * at)
         if d == 1:

@@ -11,26 +11,21 @@ from functools import reduce
 
 from . import weights as wt
 from .scalars import (
-    Scal, InexactDivision, hat_normalize, pone, pmono, padd_into, psub, pmul,
+    Scal, InexactDivision, hat_normalize, pone, padd_into, psub, pmul,
     pscale, pdivexact, psubstitute, poly_text, series_divide,
 )
 from .weights import RankTooSmall
 from .daha import (
-    get_rep, xp_one, xp_mul, xp_scale, xp_add_into, word_of_rs,
-    gamma_hat_project,
+    get_rep, xp_one, xp_mul, xp_add_into, word_of_rs, gamma_hat_project,
 )
 from .macdonald import get_mac
 from .links import (
     LinkPair, ColoredForest, Path, lower_twist, deg_a_bound,
-    classify_positive, normalize_moves, MoveNotApplicable,
+    normalize_moves, MoveNotApplicable,
 )
 
 
 class StabilizationFailed(Exception):
-    pass
-
-
-class CheckFailed(Exception):
     pass
 
 
@@ -115,10 +110,8 @@ def _norm_scalar(pair, mac, norm):
     return _j_eval(mac, colors[idx])
 
 
-def jd_raw(pair, rank, norm="min", form="J", nested_twist=False):
+def jd_raw(pair, rank, norm="min", form="J"):
     """The coinvariant value divided by the normalization, as a Scal."""
-    if pair.twist is not None and nested_twist:
-        return _jd_nested(pair, rank, norm, form)
     if pair.twist is not None:
         pair = lower_twist(pair)
     mac = get_mac(rank)
@@ -129,29 +122,6 @@ def jd_raw(pair, rank, norm="min", form="J", nested_twist=False):
         f = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
     val = rep.coinvariant(f)
     return val.div(_norm_scalar(pair, mac, norm))
-
-
-def _jd_nested(pair, rank, norm, form):
-    """Twist route that applies the extra column inside the coinvariant.
-
-    Equivalent to lowering the twist into the second tree; kept as an
-    independent code path for cross-checking.
-    """
-    low = lower_twist(pair)          # fixes colors and the vee flag
-    alpha, beta = pair.twist
-    if not pair.vee:
-        alpha, beta = -alpha, -beta
-    mac = get_mac(rank)
-    rep = get_rep(rank)
-    f = pre_polynomial(pair.first, rank, form)
-    if pair.second is not None:
-        g = pre_polynomial(pair.second, rank, form)
-    else:
-        g = pre_polynomial(ColoredForest((Path((), (1,)),)), rank, form)
-    g = gamma_hat_project(word_of_rs(beta, alpha), g, rep)
-    f = _apply_fY(rep, g, f, sign=-1)
-    val = rep.coinvariant(f)
-    return val.div(_norm_scalar(low, mac, norm))
 
 
 @dataclass(frozen=True)
@@ -242,44 +212,6 @@ def superpolynomial(pair, norm="min"):
         else:
             m0 += 1
     raise StabilizationFailed(f"window retries exhausted for {pair}")
-
-
-def generalized_twist(pair, norm="min", nested=False):
-    """Superpolynomial of a pair carrying a twist column.
-
-    The default route lowers the column into the second tree; the nested
-    route applies it inside the coinvariant (same value by construction).
-    """
-    if pair.twist is None:
-        return superpolynomial(pair, norm)
-    if not nested:
-        return superpolynomial(pair, norm)
-    low = lower_twist(pair)
-    bound, exact = deg_a_bound(pair, norm)
-    deg = exact if exact is not None else bound
-    m0 = max([1] + [len(c) for c in _all_colors(low)])
-    for attempt in range(MAX_WINDOW_SHIFTS + 1):
-        ranks = list(range(m0, m0 + deg + 1))
-        vals = [hat_normalize(jd_raw(pair, m, norm, nested_twist=True)
-                              .as_poly())[0] for m in ranks]
-        try:
-            out = _interpolate_a(vals, ranks)
-        except InexactDivision:
-            out = None
-        if out is not None:
-            extra = m0 + deg + 1
-            check = hat_normalize(
-                jd_raw(pair, extra, norm, nested_twist=True).as_poly())[0]
-            if _at_rank(out, extra) == check:
-                poly, shift = hat_normalize(out)
-                da = max((k[2] for k in poly), default=0)
-                return SuperPoly(poly, shift, norm, tuple(ranks), extra,
-                                 pair, da)
-        if deg < bound:
-            deg = bound
-        else:
-            m0 += 1
-    raise StabilizationFailed(f"twist window retries exhausted for {pair}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Three layers:
   * Scal: a restricted fraction field poly / (product of binomial atoms);
     denominators never hold anything except cyclotomic-type atoms, which is
     all the pipeline ever produces;
-  * FactoredBinomial: products of atoms kept factored so multiset gcd/lcm
-    is exact without any bivariate gcd machinery.
+  * FactoredBinomial: products of atoms kept factored, so multiplying and
+    dividing them never expands a polynomial.
 
 Atoms come in two shapes:
   ('c', d, aq, at)  --  Phi_d(q^aq * t^at), the d-th cyclotomic polynomial
@@ -22,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, comb
-
-import sympy
 
 
 class ZeroPolynomial(Exception):
@@ -195,34 +193,24 @@ def psubstitute(p, q=None, t=None, a=None, strict=False):
     (commonly +-1).  Raises FractionalResidue in strict mode if any resulting
     exponent is fractional.
     """
-    subs = []
-    for idx, s in enumerate((q, t, a)):
-        if s is not None:
-            subs.append((idx, s))
-    if not subs:
+    subs = (q, t, a)
+    if subs == (None, None, None):
         return dict(p)
     out = {}
     for k, c in p.items():
-        eq, et, ea = k
         coeff = c
         parts = [0, 0, 0]
-        exps = (eq, et, ea)
-        for idx in range(3):
-            e = exps[idx]
-            s = (q, t, a)[idx]
+        for idx, (e, s) in enumerate(zip(k, subs)):
             if s is None:
-                parts[0] += e if idx == 0 else 0
-                parts[1] += e if idx == 1 else 0
-                parts[2] += e if idx == 2 else 0
+                parts[idx] += e
                 continue
-            sc, seq, set_, sea = s
+            sc, *image = s
             if sc != 1:
                 if e != int(e):
                     raise FractionalResidue("sign raised to fractional power")
                 coeff = coeff * Fraction(sc) ** int(e)
-            parts[0] += seq * e
-            parts[1] += set_ * e
-            parts[2] += sea * e
+            for v in range(3):
+                parts[v] += image[v] * e
         if coeff == 0:
             continue
         kk = (_ex(parts[0]), _ex(parts[1]), parts[2])
@@ -266,9 +254,17 @@ def hat_normalize(p):
 
 @lru_cache(maxsize=None)
 def _cyclo_coeffs(d):
-    x = sympy.Symbol('x')
-    poly = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
-    return tuple(int(c) for c in reversed(poly.all_coeffs()))  # low to high
+    """Integer coefficients of Phi_d(x), low to high.
+
+    x^d - 1 is the product of Phi_e over the divisors e of d, so Phi_d is
+    x^d - 1 divided exactly by Phi_e for each proper divisor e.  The degree
+    is phi(d).
+    """
+    p = {(d, 0, 0): 1, (0, 0, 0): -1}
+    for e in _divisors(d)[:-1]:
+        p = pdivexact(p, {(j, 0, 0): c
+                          for j, c in enumerate(_cyclo_coeffs(e)) if c})
+    return tuple(p.get((j, 0, 0), 0) for j in range(max(p)[0] + 1))
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +280,6 @@ def atom_expand_cached(atom):
         _, mq, mt = atom
         return {(0, 0, 0): 1, (_ex(mq), _ex(mt), 1): 1}
     raise ValueError(atom)
-
-
-def atom_expand(atom):
-    return dict(atom_expand_cached(atom))
 
 
 def binomial_atoms(eq, et, plus=False):
@@ -428,10 +420,9 @@ class Scal:
         return Scal(pmul(self.num, other.num), self.den + other.den)
 
     def scale(self, c, key=(0, 0, 0)):
-        return Scal(pscale(self.num, c, key), self.den)
-
-    def div_atoms(self, atoms):
-        return Scal(self.num, self.den + tuple(atoms))
+        # self is reduced, and a unit times a monomial cannot make one of
+        # its denominator atoms divide
+        return Scal(pscale(self.num, c, key), self.den, reduce=False)
 
     def inv(self):
         """Invert; requires the numerator to factor into a unit times atoms."""
@@ -478,15 +469,6 @@ def _multiset_sub(a, b):
     for x in b:
         out.remove(x)
     return tuple(out)
-
-def _multiset_min(a, b):
-    out = []
-    pool = list(b)
-    for x in a:
-        if x in pool:
-            pool.remove(x)
-            out.append(x)
-    return tuple(sorted(out))
 
 
 def factor_binomials(p):
@@ -616,17 +598,6 @@ class FactoredBinomial:
              self.key[2] - other.key[2]),
             atoms)
 
-    def gcd(self, other):
-        c = Fraction(gcd(self.coeff.numerator, other.coeff.numerator),
-                     _lcm(self.coeff.denominator, other.coeff.denominator))
-        key = (min(self.key[0], other.key[0]), min(self.key[1], other.key[1]),
-               min(self.key[2], other.key[2]))
-        return FactoredBinomial(c, key, _multiset_min(self.atoms, other.atoms))
-
-    def lcm(self, other):
-        g = self.gcd(other)
-        return self.mul(other).div(g)
-
     def expand(self):
         p = pmono(self.key[0], self.key[1], self.key[2], self.coeff)
         for atm in self.atoms:
@@ -640,23 +611,6 @@ class FactoredBinomial:
     def __repr__(self):
         return (f"FactoredBinomial({self.coeff}, {self.key}, "
                 f"{list(self.atoms)})")
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
-def binomial_factor_ops(x, y=None, kind='factor'):
-    if kind == 'factor':
-        p = x.expand() if isinstance(x, FactoredBinomial) else x
-        return FactoredBinomial.from_poly(p)
-    if kind == 'expand':
-        return x.expand()
-    if kind == 'gcd':
-        return x.gcd(y)
-    if kind == 'lcm':
-        return x.lcm(y)
-    raise ValueError(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +636,6 @@ def series_divide(p, p_t=0, p_q=0, cutoff=12):
 
 def _trunc(p, cutoff):
     return {k: c for k, c in p.items() if k[0] <= cutoff and k[1] <= cutoff}
-
-
-def series_nonnegative(p, cutoff, margin):
-    """True if no kept coefficient below the reliable order is negative.
-
-    Terms with e_t or e_q above cutoff - margin may be polluted by the
-    truncation and are ignored.
-    """
-    lim = cutoff - margin
-    return all(c >= 0 for k, c in p.items()
-               if k[0] <= lim and k[1] <= lim)
 
 
 # ---------------------------------------------------------------------------

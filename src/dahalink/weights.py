@@ -25,10 +25,6 @@ class RankTooSmall(Exception):
     pass
 
 
-class UnsupportedSystem(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # coordinates
 
@@ -254,18 +250,6 @@ def diagram_union(l1, l2):
     return tuple(x for x in (max(p, q) for p, q in zip(a, b)) if x > 0)
 
 
-def diagram_convert(x, kind, y=None):
-    if kind == 'to_diagram':
-        return to_diagram(x)
-    if kind == 'to_weight':
-        return to_weight(x, y)
-    if kind == 'transpose':
-        return transpose(x)
-    if kind == 'union':
-        return diagram_union(x, y)
-    raise ValueError(kind)
-
-
 def arm_leg(lam):
     """Yields (arm, leg) over the boxes of lam."""
     lt = transpose(lam)
@@ -370,62 +354,3 @@ def tilde_N(b):
     for atm, mult in g.items():
         atoms.extend([atm] * mult)
     return FactoredBinomial(sign, (0, 0, 0), atoms)
-
-
-# ---------------------------------------------------------------------------
-# affine exponent catalogue (data tables only)
-
-AFFINE_EXPONENTS = {
-    'ADE': {
-        'rational': ['(m_i+1)k + j + 1  (i = 1..n, j >= 0)'],
-        'non_rational': ['(m_i+1)(k+j+1) ~> k + j + 1'],
-    },
-    'B': {
-        'rational': ['2m*k_lng + 2j + 2  (2 <= m <= n, j+1 not in m*Z_+)',
-                     '2m*k_lng + 2k_sht + 2j + 1  (0 <= m < n)'],
-        'non_rational': [
-            '4m*k_lng + 2k_sht + 2j + 2 ~> 2m*k_lng + k_sht + j + 1  (1 <= m < n)',
-            'm(2k_lng + 2j + 2) ~> 2k_lng + j + 1  (2 <= m <= n)'],
-    },
-    'C': {
-        'rational': ['m*k_sht + j + 1  (2 <= m <= n, j+1 not in m*Z_+)',
-                     'delta_m(2m*k_sht + 2k_lng + 2j + 1)  (0 <= m < n; '
-                     'delta_m = 2 if m < n/2 else 1)'],
-        'non_rational': [],
-    },
-    'G2': {
-        'rational': ['2k_sht + 2j + 1', '6k_lng + 6j + 3',
-                     '3k_lng + 3k_sht + 3j + 1', '3k_lng + 3k_sht + 3j + 2'],
-        'non_rational': ['2(3k_lng + 3k_sht + 3j + 3) ~> '
-                         '3k_lng + 3k_sht + 3j + 3'],
-    },
-    'F4': {
-        'rational': ['2k_sht + 2j + 1', '6k_sht + 2j + 1 (j+1 not in 3Z_+)',
-                     '2k_lng + 2j + 2 (j+1 not in 2Z_+)',
-                     '6k_lng + 6j + 6 (pair series)',
-                     '6k_lng + 6k_sht + 2j + 1', '8k_lng + 4k_sht + 4j + 2'],
-        'non_rational': [
-            '2(k_sht + j + 1) ~> k_sht + j + 1',
-            '3(k_sht + j + 1) ~> k_sht + j + 1',
-            '4(k_lng + j + 1) ~> 2(k_lng + j + 1)',
-            '6(k_lng + j + 1) ~> 2(k_lng + j + 1)',
-            '4k_lng + 4k_sht + 4j + 4 ~> 2k_lng + 2k_sht + 2j + 2',
-            '8k_lng + 2k_sht + 2j + 2 ~> 4k_lng + k_sht + j + 1',
-            '8k_lng + 4k_sht + 4j + 4 ~> 2k_lng + k_sht + j + 1',
-            '12k_lng + 6k_sht + 2j + 2 ~> 6k_lng + 3k_sht + j + 1'],
-    },
-    'D_even_note': 'D_{2m} reserves multiplicity 2 for the coinciding '
-                   'Coxeter exponents 2m-1, 2m-1.',
-}
-
-
-def affine_exponents(system):
-    key = {'A': 'ADE', 'D': 'ADE', 'E': 'ADE', 'ADE': 'ADE',
-           'B': 'B', 'B_n': 'B', 'C': 'C', 'C_n': 'C',
-           'G2': 'G2', 'G_2': 'G2', 'F4': 'F4', 'F_4': 'F4'}.get(system)
-    if key is None:
-        raise UnsupportedSystem(system)
-    out = dict(AFFINE_EXPONENTS[key])
-    if system in ('D', 'ADE'):
-        out['multiplicity_note'] = AFFINE_EXPONENTS['D_even_note']
-    return out

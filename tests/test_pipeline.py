@@ -1,6 +1,10 @@
 """End-to-end invariants: rank polynomials, a-stabilization, specializations."""
 
 import json
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +15,11 @@ from dahalink.scalars import (
     Scal, InexactDivision, poly_parse, poly_text, pmul, pdivexact,
     psubstitute, hat_normalize,
 )
+import dahalink
 from dahalink import pipeline as pl
 from dahalink.cli import main
+from dahalink.daha import get_rep, gamma_hat_project, word_of_rs
+from dahalink.macdonald import get_mac
 
 
 TREFOIL = "{[3,2]->(1)}"
@@ -91,9 +98,36 @@ def test_twist_column_equals_cable():
     assert sup(TWIST_11).poly == poly_parse(GOLDEN[CABLE_32_11])
 
 
+def _jd_nested(pair, rank, norm="min", form="J"):
+    """Twist route that applies the extra column inside the coinvariant.
+
+    Equivalent to lowering the twist into the second tree; an independent
+    oracle for `lower_twist`.
+    """
+    low = lower_twist(pair)          # fixes colors and the vee flag
+    alpha, beta = pair.twist
+    if not pair.vee:
+        alpha, beta = -alpha, -beta
+    rep = get_rep(rank)
+    f = pl.pre_polynomial(pair.first, rank, form)
+    if pair.second is not None:
+        g = pl.pre_polynomial(pair.second, rank, form)
+    else:
+        g = pl.pre_polynomial(ColoredForest((Path((), (1,)),)), rank, form)
+    g = gamma_hat_project(word_of_rs(beta, alpha), g, rep)
+    f = pl._apply_fY(rep, g, f, sign=-1)
+    val = rep.coinvariant(f)
+    return val.div(pl._norm_scalar(low, get_mac(rank), norm))
+
+
 def test_twist_nested_route_agrees():
-    pair = parse_dsl(TWIST_11)
-    assert pl.generalized_twist(pair, nested=True).poly == sup(TWIST_11).poly
+    for dsl in (TWIST_11,
+                "twist [0,1] {[3,2]->(1)} ; {[2,1]->(1)}",
+                "twist [2,1] {[1,2]->(1)} ; vee {[1,2]->(1)}"):
+        pair = parse_dsl(dsl)
+        for m in (1, 2, 3):
+            nested = hat_normalize(_jd_nested(pair, m).as_poly())[0]
+            assert nested == pl.jd(lower_twist(pair), m).poly, (dsl, m)
 
 
 def test_inexact_rank_value_is_not_a_window_shift(monkeypatch):
@@ -306,6 +340,17 @@ def test_positivity_fails_non_algebraic():
     assert not rep["ok"]
 
 
+def test_positivity_margin_ignores_truncated_tail():
+    def ok(text, margin):
+        s = SimpleNamespace(poly=poly_parse(text))
+        return pl.check_positivity(s, p_t=0, cutoff=4, margin=margin)["ok"]
+    assert ok("1 + q*t", 0)
+    assert not ok("1 - q*t^2", 0)
+    # terms above cutoff - margin may be polluted by the truncation
+    assert not ok("1 - q*t^4", 0)
+    assert ok("1 - q*t^4", 1)
+
+
 def test_deg_a_bound_respected():
     for dsl in (TREFOIL, T22, T42, T32_MERIDIAN, CABLE_32_11):
         s = sup(dsl)
@@ -343,3 +388,20 @@ def test_cli_rank_trefoil(capsys):
 def test_cli_bad_link():
     with pytest.raises(SystemExit):
         main(["super", "{[3,2]->"])
+
+
+def test_cli_rank_too_small(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["rank", "{[3,2]->(1,1,1)}", "1"])
+    assert e.value.code == 2
+    assert "needs rank >= 3" in capsys.readouterr().err
+
+
+def test_import_leaves_sympy_out():
+    src = os.path.dirname(os.path.dirname(dahalink.__file__))
+    code = ("import sys, dahalink.pipeline, dahalink.cli; "
+            "print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

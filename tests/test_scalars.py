@@ -1,17 +1,19 @@
 """Exact scalar arithmetic: Laurent polys, binomial atoms, restricted fractions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dahalink import scalars
 from dahalink.scalars import (
     Scal, FactoredBinomial, ZeroPolynomial, ZeroAtAEqualsZero,
     NotABinomialProduct, InexactDivision, FractionalResidue,
     pzero, pone, pmono, padd, psub, pmul, ppow, pscale, pdivexact, pdivides,
     psubstitute, hat_normalize, binomial_atoms, a_atom, atom_expand_cached,
-    factor_binomials, binomial_factor_ops, series_divide, series_nonnegative,
-    poly_text, poly_parse,
+    factor_binomials, series_divide, poly_text, poly_parse, _cyclo_coeffs,
+    _multiset_union,
 )
 
 
@@ -186,26 +188,41 @@ def test_factor_rejects_non_product():
         factor_binomials(P("1 + q + q^3*t"))
 
 
-def test_gcd_lcm_product():
-    x = binomial_factor_ops(P("1 - q^2*t^2"), None, 'factor')
-    y = binomial_factor_ops(P("1 - q*t"), None, 'factor')
-    g = binomial_factor_ops(x, y, 'gcd')
-    assert g.atoms == (('c', 1, 1, 1),)
-    l = binomial_factor_ops(x, y, 'lcm')
-    assert g.mul(l).atoms == x.mul(y).atoms
-
-
 def test_pi_dagger_lcm():
-    # (1+a)(1+qa) vs (1+a)(1+a/t) -> (1+a)(1+qa)(1+a/t)
+    # (1+a)(1+qa) vs (1+a)(1+a/t) -> (1+a)(1+qa)(1+a/t): the common
+    # denominator Scal.add builds
     x = FactoredBinomial(1, (0, 0, 0), (a_atom(0, 0), a_atom(1, 0)))
     y = FactoredBinomial(1, (0, 0, 0), (a_atom(0, 0), a_atom(0, -1)))
-    l = binomial_factor_ops(x, y, 'lcm')
-    assert sorted(l.atoms) == sorted((a_atom(0, 0), a_atom(1, 0),
-                                      a_atom(0, -1)))
+    l = _multiset_union(x.atoms, y.atoms)
+    assert sorted(l) == sorted((a_atom(0, 0), a_atom(1, 0), a_atom(0, -1)))
 
 
 def test_a_atom_expand():
     assert atom_expand_cached(a_atom(1, -2)) == P("1 + a*q*t^-2")
+
+
+CYCLOTOMIC = {
+    1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 5: (1,) * 5,
+    6: (1, -1, 1), 7: (1,) * 7, 8: (1, 0, 0, 0, 1), 9: (1, 0, 0, 1, 0, 0, 1),
+    10: (1, -1, 1, -1, 1), 11: (1,) * 11, 12: (1, 0, -1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("d", sorted(CYCLOTOMIC))
+def test_cyclo_coeffs_small(d):
+    assert _cyclo_coeffs(d) == CYCLOTOMIC[d]
+
+
+def test_cyclo_degree_is_totient():
+    for d in range(1, 61):
+        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        assert len(_cyclo_coeffs(d)) - 1 == phi
+
+
+def test_cyclo_105_has_minus_two():
+    # the least d whose Phi_d has a coefficient outside {-1, 0, 1}
+    big = {j: c for j, c in enumerate(_cyclo_coeffs(105)) if abs(c) > 1}
+    assert big == {7: -2, 41: -2}
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +250,19 @@ def test_scal_eq_cross_multiplied():
     a = Scal(P("1 - q^2*t^2"), (('c', 2, 1, 1),))
     b = Scal(pscale(P("1 - q*t"), 1))
     assert a == b
+
+
+def test_scal_scale_runs_no_trial_division(monkeypatch):
+    s = Scal(P("1 - q*t^2"), (('c', 1, 0, 1), ('c', 2, 1, 1)))
+    assert len(s.den) == 2
+    want = Scal(pscale(s.num, -3, (1, -2, 0)), s.den)
+    calls = []
+    pdivides = scalars.pdivides
+    monkeypatch.setattr(scalars, "pdivides",
+                        lambda n, d: calls.append(d) or pdivides(n, d))
+    got = s.scale(-3, (1, -2, 0))
+    assert calls == []
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_scal_unhashable():
@@ -284,9 +314,3 @@ def test_series_divide_reproduces_truncation():
     assert series_divide(prod, 2, 0, 3) == {k: v for k, v in p.items()
                                             if k[1] <= 3}
 
-
-def test_series_nonnegative():
-    assert series_nonnegative(P("1 + q*t"), 4, 0)
-    assert not series_nonnegative(P("1 - q*t^2"), 4, 0)
-    # the polluted tail above cutoff-margin is ignored
-    assert series_nonnegative(P("1 - q*t^4"), 4, 1)

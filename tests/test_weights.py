@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from dahalink import weights as wt
 from dahalink.scalars import FactoredBinomial, poly_parse, pmul, Scal
 from dahalink.weights import (
-    RankMismatch, RankTooSmall, UnsupportedSystem,
+    RankMismatch, RankTooSmall,
     to_eps, from_eps, fundamental, zero, wt_add, wt_neg, theta, alpha, iota,
     pairing, norm2, rho_eps, dominant,
     perm_id, perm_mul, perm_inv, perm_len, perm_act, simple_refl,
     reduced_word, longest_element, u_perm, sort_perm_maximal,
     EvalPoint, minus_rho_k, sharp_point,
-    to_diagram, to_weight, transpose, diagram_union, diagram_convert,
+    to_diagram, to_weight, transpose, diagram_union,
     arm_leg, lambda_plus_set, eval_products, h_lambda, pi_dagger, tilde_N,
-    affine_exponents,
 )
 
 
@@ -107,7 +106,6 @@ def test_diagram_examples():
     assert to_diagram(b) == (3, 2)
     assert diagram_union((2,), (1, 1)) == (2, 1)
     assert transpose(transpose((3, 1))) == (3, 1)
-    assert diagram_convert((2,), 'union', (1, 1)) == (2, 1)
 
 
 def test_to_weight_rank_guard():
@@ -178,21 +176,3 @@ def test_tilde_N_A1_3omega():
 def test_tilde_N_iota_symmetric():
     for b in [(2, 1), (3, 0), (1, 2)]:
         assert sorted(tilde_N(b).atoms) == sorted(tilde_N(tuple(reversed(b))).atoms)
-
-
-# ---------------------------------------------------------------------------
-# affine exponent catalogue (data only)
-
-def test_affine_exponents_ade():
-    cat = affine_exponents('ADE')
-    assert 'rational' in cat and 'non_rational' in cat
-
-
-def test_affine_exponents_g2_has_families():
-    cat = affine_exponents('G2')
-    assert any('2k_sht' in fam for fam in cat['rational'])
-
-
-def test_affine_exponents_unsupported():
-    with pytest.raises(UnsupportedSystem):
-        affine_exponents('E9')
