@@ -89,12 +89,8 @@ def _add_term(acc, b, w, j, c, s, cq):
     acc[k] = v
 
 def xp_eq(f, g):
-    if set(f) != set(g):
-        ks = set(f) | set(g)
-    else:
-        ks = set(f)
     zero = Scal.zero()
-    for b in ks:
+    for b in set(f) | set(g):
         if not f.get(b, zero).sub(g.get(b, zero)).is_zero():
             return False
     return True
@@ -385,31 +381,18 @@ def word_of_rs(r, s):
 # ---------------------------------------------------------------------------
 # the projection gamma-hat(Q) evaluated at 1
 
-def gamma_hat_project(word, Q, rep, tau_dot=None, optimize=True):
+def gamma_hat_project(word, Q, rep):
     """Apply the tau-word lift to a polynomial and project back to V.
 
-    With optimize=True trailing tau_+ letters are stripped (they fix X) and a
-    maximal leading tau_- run of net exponent m is peeled and applied at the
-    end through `tau_dot` (a callable f, m -> XPoly), when one is supplied.
+    Trailing tau_+ letters fix every X_b, so they are stripped before the
+    rest of the word is lifted by `_core_project`.
     """
-    word = tuple(word)
     if not Q:
         return {}
-    core = word
-    if optimize:
-        while core and core[-1][0] == '+':
-            core = core[:-1]
-    m = 0
-    if optimize and tau_dot is not None:
-        i = 0
-        while i < len(core) and core[i][0] == '-':
-            m += core[i][1]
-            i += 1
-        core = core[i:]
-    out = _core_project(core, Q, rep)
-    if m:
-        out = tau_dot(out, m)
-    return out
+    core = tuple(word)
+    while core and core[-1][0] == '+':
+        core = core[:-1]
+    return _core_project(core, Q, rep)
 
 
 def _core_project(word, Q, rep):

@@ -24,7 +24,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import reduce
 from math import gcd, prod
+
+from .weights import diagram_union
 
 
 class NonCoprimeLabel(ValueError):
@@ -491,29 +494,29 @@ def classify_positive(pair):
     return "generic"
 
 
-def _diagram_join(colors):
-    rows = max(map(len, colors))
-    return tuple(max(c[i] if i < len(c) else 0 for c in colors)
-                 for i in range(rows))
+def norm_diagram(pair, norm):
+    """The diagram whose J-evaluation normalizes the pair.
 
-
-def _delta(pair, normalization):
+    "min" takes the union of all colors, "none" the empty diagram and
+    ("j_o", idx) the color of the idx-th path (first tree, then second).
+    """
     colors = [p.color for f in pair.forests() for p in f.paths]
-    if normalization == "min":
-        return sum(_diagram_join(colors))
-    if normalization == "none":
-        return 0
-    kind, idx = normalization
-    if kind != "j_o":
-        raise ValueError(f"bad normalization {normalization}")
-    return sum(colors[idx])
+    if norm == "min":
+        return reduce(diagram_union, colors, ())
+    if norm == "none":
+        return ()
+    if isinstance(norm, tuple) and len(norm) == 2 and norm[0] == "j_o":
+        idx = norm[1]
+        if isinstance(idx, int) and -len(colors) <= idx < len(colors):
+            return colors[idx]
+    raise ValueError(f"bad normalization {norm!r}")
 
 
 def deg_a_bound(pair, normalization="min"):
     """a-degree bound (5.40) and, for positive vee-pairs and positive
     trees, the conjectured exact value (5.41)."""
     pair = lower_twist(pair)
-    bound = exact = -_delta(pair, normalization)
+    bound = exact = -sum(norm_diagram(pair, normalization))
     for f in pair.forests():
         for p in f.paths:
             boxes = sum(p.color)

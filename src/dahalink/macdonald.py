@@ -22,10 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import (Scal, pmono, pone, pmul, padd_into, pscale, _ex,
-                      _cyclo_coeffs, binomial_atoms, FactoredBinomial)
+                      _cyclo_coeffs, binomial_fb, FactoredBinomial)
 from . import weights as wt
-from .daha import (get_rep, xp_one, xp_mono, xp_add_into, xp_scale, xp_mul,
-                   xp_eval, HALF)
+from .daha import get_rep, xp_one, xp_mono, xp_add_into, xp_scale, xp_mul
 
 
 class EigenvalueCollision(Exception):
@@ -85,18 +84,6 @@ def span_weights(b):
         for v in _orbit(mu):
             out.append(wt.from_eps(v))
     return out
-
-
-def _order_key(c):
-    """Total order refining the E-triangularity order; max = eliminated first."""
-    c_plus, w = wt.sort_perm_maximal(c)
-    v = wt.to_eps(c_plus)
-    partial = []
-    s = 0
-    for x in v:
-        s += x
-        partial.append(s)
-    return (tuple(partial), wt.perm_len(w), wt.to_eps(c))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +216,8 @@ class Mac:
                 for m in range(l + 1, n1):
                     p = m - l
                     for j in range(0, vb[l] - vb[m]):
-                        num = num.mul(_fb(j, p + 1))
-                        den = den.mul(_fb(j, p))
+                        num = num.mul(binomial_fb(j, p + 1))
+                        den = den.mul(binomial_fb(j, p))
             hit = _ratio_scal(num, den, -wt.pairing(b, _rho_weight(self.n)))
             self._eval[key] = hit
         return hit
@@ -262,8 +249,10 @@ class Mac:
                 p = m - l
                 for j in range(0, vb[l] - vb[m]):
                     # the t^{-1} in each (t^{-1} - q^j t^p) is pulled out front
-                    num = num.mul(_fb(j + 1, p - 1)).mul(_fb(j, p))
-                    den = den.mul(_fb(j + 1, p)).mul(_fb(j, p + 1))
+                    num = num.mul(binomial_fb(j + 1, p - 1))
+                    num = num.mul(binomial_fb(j, p))
+                    den = den.mul(binomial_fb(j + 1, p))
+                    den = den.mul(binomial_fb(j, p + 1))
                     nfac += 1
         return _ratio_scal(num, den, nfac)
 
@@ -280,8 +269,7 @@ class Mac:
         h = wt.h_lambda(lam)
         hp = FactoredBinomial.one()
         for arm, leg in wt.arm_leg(lam):
-            c, k, atoms = binomial_atoms(arm + 1, leg)
-            hp = hp.mul(FactoredBinomial(c, k, atoms))
+            hp = hp.mul(binomial_fb(arm + 1, leg))
         g_atoms = []
         for p, row in enumerate(lam, start=1):
             for j in range(row):
@@ -296,69 +284,9 @@ class Mac:
         return Scal(pscale(num, sign, (0, _ex(-size - 2 * nlam), size)),
                     g_atoms)
 
-    # -- E-expansion and diagonal operators ------------------------------
-
-    def expand_in_E(self, f):
-        rem = dict(f)
-        out = {}
-        last = None
-        guard = 0
-        while rem:
-            guard += 1
-            if guard > 100000:
-                raise NonTerminating("E-expansion runaway")
-            b = max(rem, key=_order_key)
-            k = _order_key(b)
-            if last is not None and k >= last:
-                raise NonTerminating("E-expansion order not decreasing")
-            last = k
-            c = rem[b]
-            out[b] = c
-            xp_add_into(rem, self.E(b), c.neg())
-            if b in rem:
-                raise NonTerminating(f"failed to eliminate {b}")
-        return out
-
-    def from_E(self, coeffs):
-        out = {}
-        for b, c in coeffs.items():
-            xp_add_into(out, self.E(b), c)
-        return out
-
-    def tau_minus_dot(self, f, m=1):
-        """Scale E-components by q^{-m((b_+,b_+)/2 + (b_+,rho_k))}."""
-        if not f:
-            return {}
-        coeffs = self.expand_in_E(f)
-        out = {}
-        for b, c in coeffs.items():
-            b_plus, _ = wt.sort_perm_maximal(b)
-            eq = _ex(-m * wt.norm2(b_plus) * HALF)
-            et = _ex(-m * wt.pairing(b_plus, _rho_weight(self.n)))
-            xp_add_into(out, self.E(b), c.scale(1, (eq, et, 0)))
-        return out
-
-    def apply_fY(self, f, g, sign=1):
-        """f(Y^{-sign}) applied to g through the diagonal E-expansion."""
-        coeffs = self.expand_in_E(g)
-        out = {}
-        for e, c in coeffs.items():
-            _, _, pt = wt.sharp_point(e)
-            if sign == 1:
-                val = xp_eval(f, pt)
-            else:
-                val = xp_eval(f, wt.EvalPoint(
-                    tuple(-x for x in pt.beta), tuple(-x for x in pt.kappa)))
-            xp_add_into(out, self.E(e), c.mul(val))
-        return out
-
 
 def _rho_weight(n):
     return tuple([1] * n)
-
-
-def _fb(eq, et):
-    return FactoredBinomial(*binomial_atoms(eq, et))
 
 
 def _ratio_scal(num, den, t_shift):

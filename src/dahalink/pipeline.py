@@ -16,11 +16,12 @@ from .scalars import (
 )
 from .weights import RankTooSmall
 from .daha import (
-    get_rep, xp_one, xp_mul, xp_add_into, word_of_rs, gamma_hat_project,
+    get_rep, xp_one, xp_mul, xp_add_into, xp_eq, word_of_rs,
+    gamma_hat_project, _core_project,
 )
 from .macdonald import get_mac
 from .links import (
-    LinkPair, ColoredForest, Path, lower_twist, deg_a_bound,
+    LinkPair, ColoredForest, Path, lower_twist, deg_a_bound, norm_diagram,
     normalize_moves, MoveNotApplicable,
 )
 
@@ -35,22 +36,21 @@ MAX_WINDOW_SHIFTS = 3
 # ---------------------------------------------------------------------------
 # pre-polynomials
 
-def pre_polynomial(forest, rank, form="J"):
+def pre_polynomial(forest, rank):
     """Product over subtrees of the projected tower of cable words.
 
     Every vertex applies the lift of its [r, s] column to the product of the
     deeper factors and projects back to the polynomial module; arrowheads
-    seed the recursion with the integral (or spherical) Macdonald form.
+    seed the recursion with the integral Macdonald polynomial J.
     """
     mac = get_mac(rank)
     rep = get_rep(rank)
-    seed = mac.J if form == "J" else mac.P_spherical
     paths = forest.paths
 
     def factor(lam):
         if not lam:
             return xp_one(rank)
-        return seed(lam)
+        return mac.J(lam)
 
     def block(lo, hi, depth):
         out = None
@@ -97,31 +97,18 @@ def _j_eval(mac, lam):
     return mac.P_eval(lam).mul(Scal(wt.h_lambda(lam).expand()))
 
 
-def _norm_scalar(pair, mac, norm):
-    if norm == "none":
-        return Scal.one()
-    colors = _all_colors(pair)
-    if norm == "min":
-        union = reduce(wt.diagram_union, colors, ())
-        return _j_eval(mac, union)
-    kind, idx = norm
-    if kind != "j_o":
-        raise ValueError(f"bad normalization {norm!r}")
-    return _j_eval(mac, colors[idx])
-
-
-def jd_raw(pair, rank, norm="min", form="J"):
+def jd_raw(pair, rank, norm="min"):
     """The coinvariant value divided by the normalization, as a Scal."""
     if pair.twist is not None:
         pair = lower_twist(pair)
-    mac = get_mac(rank)
+    lam = norm_diagram(pair, norm)
     rep = get_rep(rank)
-    f = pre_polynomial(pair.first, rank, form)
+    f = pre_polynomial(pair.first, rank)
     if pair.second is not None:
-        g = pre_polynomial(pair.second, rank, form)
+        g = pre_polynomial(pair.second, rank)
         f = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
     val = rep.coinvariant(f)
-    return val.div(_norm_scalar(pair, mac, norm))
+    return val.div(_j_eval(get_mac(rank), lam))
 
 
 @dataclass(frozen=True)
@@ -132,8 +119,8 @@ class RankInvariant:
     norm: object
 
 
-def jd(pair, rank, norm="min", form="J"):
-    val = jd_raw(pair, rank, norm, form)
+def jd(pair, rank, norm="min"):
+    val = jd_raw(pair, rank, norm)
     poly, shift = hat_normalize(val.as_poly())
     return RankInvariant(rank, poly, shift, norm)
 
@@ -254,8 +241,9 @@ def hopf_vertex(diagrams, meridian=None, vee=True):
 # specializations
 
 def _kappa(pair):
-    return len(lower_twist(pair).first.paths) + \
-        (len(pair.second.paths) if pair.second is not None else 0)
+    """The number of components, counted after the twist is lowered (a
+    twist without a second tree gains one)."""
+    return sum(len(f.paths) for f in lower_twist(pair).forests())
 
 
 def _den_jo(pair, jo=0):
@@ -417,17 +405,16 @@ def _check_lifts(pair, rank, norm, sup):
     labels = [l for p in forest.paths for l in p.labels]
     if not labels:
         return {"ok": True, "skipped": "no vertices"}
-    # same matrix, different words: extra trailing tau_+ and a prepended
-    # identity pair must not change the projection
-    mac = get_mac(rank)
+    # same matrix, different words: the full lift of the word with an
+    # identity pair on each side, trailing tau_+ letters kept, must give
+    # the projection of the bare word with its trailing tau_+ stripped
     rep = get_rep(rank)
     r, s = labels[0]
     w = word_of_rs(r, s)
     alt = (('+', 1), ('+', -1)) + w + (('+', 1), ('+', -1))
-    probe = mac.J((1,))
-    f1 = gamma_hat_project(w, probe, rep, tau_dot=mac.tau_minus_dot)
-    f2 = gamma_hat_project(alt, probe, rep, optimize=False)
-    from .daha import xp_eq
+    probe = get_mac(rank).J((1,))
+    f1 = gamma_hat_project(w, probe, rep)
+    f2 = _core_project(alt, probe, rep)
     ok = xp_eq(f1, f2)
     return {"ok": ok, "word": w, "base": poly_text(base)}
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, comb
+from math import gcd, lcm, comb
 
 
 class ZeroPolynomial(Exception):
@@ -69,9 +69,6 @@ def key_mul(k1, k2):
 
 # ---------------------------------------------------------------------------
 # plain poly dicts
-
-def pzero():
-    return {}
 
 def pone():
     return {(0, 0, 0): 1}
@@ -243,9 +240,7 @@ def hat_normalize(p):
     et0 = min(k[1] for k in a0)
     lead = min(a0, key=lambda k: (k[1], k[0]))
     sign = 1 if a0[lead] > 0 else -1
-    shift = (-eq0 if type(eq0) is int else -eq0,
-             -et0 if type(et0) is int else -et0, 0)
-    out = pscale(p, sign, (_ex(shift[0]), _ex(shift[1]), 0))
+    out = pscale(p, sign, (_ex(-eq0), _ex(-et0), 0))
     return out, (sign, eq0, et0)
 
 
@@ -306,25 +301,11 @@ def binomial_atoms(eq, et, plus=False):
             # 1 + x^-g = x^-g (1 + x^g)
             key = (eq, et, 0)
         eq, et = -eq, -et
-    if isinstance(eq, Fraction) or isinstance(et, Fraction):
-        den = 1
-        for e in (eq, et):
-            if isinstance(e, Fraction):
-                den = den * e.denominator // gcd(den, e.denominator)
-        aq, at = eq * den, et * den
-        g = gcd(int(aq), int(at))
-        # fractional direction: keep a single unsplit "cyclotomic" in the
-        # fractional monomial; use d over integer part of multiplicity
-        aqp, atp = _ex(Fraction(aq, g * den)), _ex(Fraction(at, g * den))
-        if plus:
-            atoms = tuple(('c', d, aqp, atp) for d in _divisors(2 * g)
-                          if g % d != 0)
-        else:
-            coeff = -coeff
-            atoms = tuple(('c', d, aqp, atp) for d in _divisors(g))
-        return (coeff, key, atoms)
-    g = gcd(eq, et)
-    aq, at = eq // g, et // g
+    # x = q^eq t^et = y^g with y = q^aq t^at primitive: g is the gcd of the
+    # exponents scaled to integers by den, and y keeps the fractional part
+    den = lcm(eq.denominator, et.denominator)
+    g = gcd(int(eq * den), int(et * den))
+    aq, at = _ex(Fraction(eq) / g), _ex(Fraction(et) / g)
     if plus:
         atoms = tuple(('c', d, aq, at) for d in _divisors(2 * g) if g % d != 0)
     else:
@@ -441,12 +422,6 @@ class Scal:
         if self.den:
             raise InexactDivision(f"uncancelled denominator {self.den}")
         return self.num
-
-    def expand_den(self):
-        d = pone()
-        for atm in self.den:
-            d = pmul(d, atom_expand_cached(atm))
-        return d
 
     def __repr__(self):
         if self.is_poly():
@@ -613,6 +588,11 @@ class FactoredBinomial:
                 f"{list(self.atoms)})")
 
 
+def binomial_fb(eq, et):
+    """1 - q^eq t^et as a FactoredBinomial."""
+    return FactoredBinomial(*binomial_atoms(eq, et))
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 
@@ -664,7 +644,7 @@ def poly_text(p):
             factors.append("q" + _fmt_exp(eq))
         if et:
             factors.append("t" + _fmt_exp(et))
-        mag = abs(c) if not isinstance(c, Fraction) else abs(c)
+        mag = abs(c)
         if not factors or mag != 1:
             factors.insert(0, str(mag))
         term = "*".join(factors)

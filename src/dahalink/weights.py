@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import _ex, FactoredBinomial, binomial_atoms, a_atom
+from .scalars import _ex, FactoredBinomial, binomial_fb, a_atom
 
 
 class RankMismatch(Exception):
@@ -70,11 +70,6 @@ def alpha(n, i):
     v[i - 1] = 1
     v[i] = -1
     return from_eps(tuple(v))
-
-
-def iota(b):
-    """b -> -w_0(b): reverses the fundamental coordinates."""
-    return tuple(reversed(b))
 
 
 @lru_cache(maxsize=None)
@@ -278,11 +273,6 @@ def lambda_plus_set(b):
     return frozenset(out)
 
 
-def _binomial_fb(eq, et):
-    c, key, atoms = binomial_atoms(eq, et)
-    return FactoredBinomial(c, key, atoms)
-
-
 def eval_products(b):
     """(num, den) FactoredBinomials of the closed E_b(q^{-rho_k}) formula.
 
@@ -294,8 +284,8 @@ def eval_products(b):
     den = FactoredBinomial.one()
     for (l, m), j in lambda_plus_set(b):
         p = m - l                              # (alpha, rho)
-        num = num.mul(_binomial_fb(j, p + 1))
-        den = den.mul(_binomial_fb(j, p))
+        num = num.mul(binomial_fb(j, p + 1))
+        den = den.mul(binomial_fb(j, p))
     return num, den
 
 
@@ -303,7 +293,7 @@ def poincare(n):
     """Poincare polynomial sum_{w in W} t^{l(w)} of S_{n+1}, factored."""
     out = FactoredBinomial.one()
     for i in range(2, n + 2):
-        out = out.mul(_binomial_fb(0, i)).div(_binomial_fb(0, 1))
+        out = out.mul(binomial_fb(0, i)).div(binomial_fb(0, 1))
     return out
 
 
@@ -311,7 +301,7 @@ def h_lambda(lam):
     """prod over boxes (1 - q^arm t^{leg+1}) as a FactoredBinomial."""
     out = FactoredBinomial.one()
     for arm, leg in arm_leg(lam):
-        out = out.mul(_binomial_fb(arm, leg + 1))
+        out = out.mul(binomial_fb(arm, leg + 1))
     return out
 
 
@@ -333,14 +323,14 @@ def tilde_N(b):
     jmax = 0
     for (l, m), j in lambda_plus_set(b):
         p = m - l
-        nb.update(_binomial_fb(j, p + 1).atoms)
+        nb.update(binomial_fb(j, p + 1).atoms)
         jmax = max(jmax, j)
     ratio = Counter()
     for p in range(1, n + 1):                  # Coxeter exponents m_p = p
         for j in range(1, jmax + 1):
-            ratio.update(_binomial_fb(j, p + 1).atoms)
+            ratio.update(binomial_fb(j, p + 1).atoms)
     for j in range(1, jmax + 1):
-        den = Counter(_binomial_fb(j, 1).atoms)
+        den = Counter(binomial_fb(j, 1).atoms)
         for atm, mult in den.items():
             have = ratio.get(atm, 0)
             ratio[atm] = max(0, have - mult * n)

@@ -1,4 +1,8 @@
-"""E/P Macdonald polynomials, evaluations, norms, E-expansion, mu-pairing."""
+"""E/P Macdonald polynomials, evaluations, norms, E-expansion, mu-pairing.
+
+The E-expansion route (expand in E_b, act diagonally, resum) lives here as
+a test oracle for the Y-operator route the pipeline uses.
+"""
 
 from fractions import Fraction
 
@@ -6,11 +10,14 @@ import pytest
 
 from dahalink import weights as wt
 from dahalink.scalars import (Scal, FactoredBinomial, pmul, pone, pscale,
-                              psubstitute, atom_expand_cached, poly_parse)
-from dahalink.daha import (get_rep, xp_one, xp_mono, xp_add, xp_eq, xp_eval,
-                           xp_scale, word_of_rs, gamma_hat_project)
+                              psubstitute, atom_expand_cached, poly_parse,
+                              binomial_fb, _ex)
+from dahalink.daha import (get_rep, xp_one, xp_mono, xp_add, xp_add_into,
+                           xp_eq, xp_eval, xp_scale, word_of_rs,
+                           gamma_hat_project, HALF)
 from dahalink.macdonald import (Mac, get_mac, span_weights, mu_inner_truncated,
-                                star_scal, star_xpoly)
+                                star_scal, star_xpoly, NonTerminating,
+                                _rho_weight, _ratio_scal)
 
 
 def scal_parse(num_text, den_atoms=()):
@@ -21,6 +28,78 @@ def eq_through(lhs, rhs, N):
     """Scal equality of q-series through order N."""
     d = lhs.sub(rhs)
     return all(k[0] > N for k in d.num)
+
+
+# ---------------------------------------------------------------------------
+# the E-expansion route (oracle)
+
+def _order_key(c):
+    """Total order refining the E-triangularity order; max = eliminated first."""
+    c_plus, w = wt.sort_perm_maximal(c)
+    v = wt.to_eps(c_plus)
+    partial = []
+    s = 0
+    for x in v:
+        s += x
+        partial.append(s)
+    return (tuple(partial), wt.perm_len(w), wt.to_eps(c))
+
+
+def expand_in_E(mac, f):
+    """The coefficients of f in the basis E_b, as {b: Scal}."""
+    rem = dict(f)
+    out = {}
+    last = None
+    guard = 0
+    while rem:
+        guard += 1
+        if guard > 100000:
+            raise NonTerminating("E-expansion runaway")
+        b = max(rem, key=_order_key)
+        k = _order_key(b)
+        if last is not None and k >= last:
+            raise NonTerminating("E-expansion order not decreasing")
+        last = k
+        c = rem[b]
+        out[b] = c
+        xp_add_into(rem, mac.E(b), c.neg())
+        if b in rem:
+            raise NonTerminating(f"failed to eliminate {b}")
+    return out
+
+
+def from_E(mac, coeffs):
+    out = {}
+    for b, c in coeffs.items():
+        xp_add_into(out, mac.E(b), c)
+    return out
+
+
+def tau_minus_dot(mac, f, m=1):
+    """Scale E-components by q^{-m((b_+,b_+)/2 + (b_+,rho_k))}."""
+    if not f:
+        return {}
+    out = {}
+    for b, c in expand_in_E(mac, f).items():
+        b_plus, _ = wt.sort_perm_maximal(b)
+        eq = _ex(-m * wt.norm2(b_plus) * HALF)
+        et = _ex(-m * wt.pairing(b_plus, _rho_weight(mac.n)))
+        xp_add_into(out, mac.E(b), c.scale(1, (eq, et, 0)))
+    return out
+
+
+def apply_fY(mac, f, g, sign=1):
+    """f(Y^{-sign}) applied to g through the diagonal E-expansion."""
+    out = {}
+    for e, c in expand_in_E(mac, g).items():
+        _, _, pt = wt.sharp_point(e)
+        if sign == 1:
+            val = xp_eval(f, pt)
+        else:
+            val = xp_eval(f, wt.EvalPoint(
+                tuple(-x for x in pt.beta), tuple(-x for x in pt.kappa)))
+        xp_add_into(out, mac.E(e), c.mul(val))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +259,34 @@ def test_tilde_N_P_integrality(n, b):
 def test_expand_in_E_examples():
     m = get_mac(1)
     # X^{-1} = E_{-omega} - (1-t)/(1-qt) E_omega
-    coeffs = m.expand_in_E(xp_mono((-1,)))
+    coeffs = expand_in_E(m, xp_mono((-1,)))
     cpos = scal_parse("1 - t", [('c', 1, 1, 1)])     # -(1-t)/(1-qt)
     assert coeffs[(-1,)].sub(Scal.one()).is_zero()
     assert coeffs[(1,)].sub(cpos).is_zero()
     # round trip
-    assert xp_eq(m.from_E(coeffs), xp_mono((-1,)))
+    assert xp_eq(from_E(m, coeffs), xp_mono((-1,)))
 
 
 @pytest.mark.parametrize("n,lam", [(1, (2,)), (2, (2, 1))])
 def test_expand_resum(n, lam):
     m = get_mac(n)
     P = m.P(lam)
-    assert xp_eq(m.from_E(m.expand_in_E(P)), P)
+    assert xp_eq(from_E(m, expand_in_E(m, P)), P)
 
 
 def test_tau_minus_dot_eigen():
     # tau-dot scales E_omega by q^{-((w,w)/2 + (w,rho_k))} = q^{-1/4}t^{-1/2}
     m = get_mac(1)
     E = m.E((1,))
-    got = m.tau_minus_dot(E, 1)
+    got = tau_minus_dot(m, E, 1)
     want = xp_scale(E, Scal.mono(eq=Fraction(-1, 4), et=Fraction(-1, 2)))
     assert xp_eq(got, want)
-    assert xp_eq(m.tau_minus_dot(m.tau_minus_dot(E, -1), 1), E)
+    assert xp_eq(tau_minus_dot(m, tau_minus_dot(m, E, -1), 1), E)
 
 
 def test_tau_minus_dot_one():
     m = get_mac(1)
-    assert xp_eq(m.tau_minus_dot(xp_one(1), 5), xp_one(1))
+    assert xp_eq(tau_minus_dot(m, xp_one(1), 5), xp_one(1))
 
 
 def test_tau_minus_dot_matches_word_action():
@@ -215,21 +294,39 @@ def test_tau_minus_dot_matches_word_action():
     m = get_mac(1)
     rep = get_rep(1)
     f = xp_add(xp_mono((1,)), xp_mono((-1,)))
-    via_word = gamma_hat_project((('-', 1),), f, rep, tau_dot=None)
-    assert xp_eq(via_word, m.tau_minus_dot(f, 1))
+    via_word = gamma_hat_project((('-', 1),), f, rep)
+    assert xp_eq(via_word, tau_minus_dot(m, f, 1))
+
+
+@pytest.mark.parametrize("n,lam,rs", [
+    (n, (1,), rs) for n in (1, 2) for rs in [(1, 1), (1, 2), (1, -1), (2, 3)]
+] + [(1, (2,), (2, 3)), (1, (2,), (3, 5))])
+def test_leading_tau_minus_run_acts_diagonally(n, lam, rs):
+    """A leading tau_- run of net exponent m projects as tau_minus_dot(m)."""
+    m = get_mac(n)
+    rep = get_rep(n)
+    Q = m.J(lam)
+    w = word_of_rs(*rs)
+    k = net = 0
+    while k < len(w) and w[k][0] == '-':
+        net += w[k][1]
+        k += 1
+    assert net
+    want = tau_minus_dot(m, gamma_hat_project(w[k:], Q, rep), net)
+    assert xp_eq(gamma_hat_project(w, Q, rep), want)
 
 
 def test_apply_fY_identity():
     m = get_mac(1)
     g = m.P((2,))
-    assert xp_eq(m.apply_fY(xp_one(1), g, 1), g)
+    assert xp_eq(apply_fY(m, xp_one(1), g, 1), g)
 
 
 def test_apply_fY_hopf_eigenvalue():
     # P_box(Y^{-1}) P_box = (q^{(w,w+rho_k)} + q^{-(w,w+rho_k)}) P_box
     m = get_mac(1)
     P = m.P((1,))
-    got = m.apply_fY(P, P, 1)
+    got = apply_fY(m, P, P, 1)
     lam = Scal.mono(eq=HALF2, et=HALF2).add(Scal.mono(eq=-HALF2, et=-HALF2))
     assert xp_eq(got, xp_scale(P, lam))
 
@@ -243,7 +340,7 @@ def test_apply_fY_matches_y_op(sign):
     rep = get_rep(2)
     g = m.P((2, 1))
     for fb in [(1, 0), (0, 1), (1, 1)]:
-        via = m.apply_fY({fb: Scal.one()}, g, sign)
+        via = apply_fY(m, {fb: Scal.one()}, g, sign)
         direct = rep.y_op(tuple(-sign * x for x in fb), g)
         assert xp_eq(via, direct)
 
@@ -283,11 +380,10 @@ def test_norm_spherical_closed_rank1():
 def E_norm_from_lambda_plus(b):
     num = FactoredBinomial.one()
     den = FactoredBinomial.one()
-    from dahalink.macdonald import _fb, _ratio_scal
     for (l, mm), j in wt.lambda_plus_set(b):
         p = mm - l
-        num = num.mul(_fb(j, p - 1)).mul(_fb(j, p + 1))
-        den = den.mul(_fb(j, p)).mul(_fb(j, p))
+        num = num.mul(binomial_fb(j, p - 1)).mul(binomial_fb(j, p + 1))
+        den = den.mul(binomial_fb(j, p)).mul(binomial_fb(j, p))
     return _ratio_scal(num, den, 0)
 
 
@@ -296,7 +392,7 @@ def test_norm_spherical_vs_E_norm_sum(n, lam):
     """Independent route: expand P in E's and sum squared E-norms."""
     m = get_mac(n)
     acc = Scal.zero()
-    for e, c in m.expand_in_E(m.P(lam)).items():
+    for e, c in expand_in_E(m, m.P(lam)).items():
         acc = acc.add(c.mul(star_scal(c)).mul(E_norm_from_lambda_plus(e)))
     ev = m.P_eval(lam)
     sph = acc.mul(ev.inv()).mul(star_scal(ev).inv())

@@ -10,6 +10,7 @@ import pytest
 
 from dahalink.links import (
     Path, ColoredForest, LinkPair, parse_dsl, lower_twist, cab_params,
+    norm_diagram,
 )
 from dahalink.scalars import (
     Scal, InexactDivision, poly_parse, poly_text, pmul, pdivexact,
@@ -98,7 +99,7 @@ def test_twist_column_equals_cable():
     assert sup(TWIST_11).poly == poly_parse(GOLDEN[CABLE_32_11])
 
 
-def _jd_nested(pair, rank, norm="min", form="J"):
+def _jd_nested(pair, rank, norm="min"):
     """Twist route that applies the extra column inside the coinvariant.
 
     Equivalent to lowering the twist into the second tree; an independent
@@ -109,15 +110,15 @@ def _jd_nested(pair, rank, norm="min", form="J"):
     if not pair.vee:
         alpha, beta = -alpha, -beta
     rep = get_rep(rank)
-    f = pl.pre_polynomial(pair.first, rank, form)
+    f = pl.pre_polynomial(pair.first, rank)
     if pair.second is not None:
-        g = pl.pre_polynomial(pair.second, rank, form)
+        g = pl.pre_polynomial(pair.second, rank)
     else:
-        g = pl.pre_polynomial(ColoredForest((Path((), (1,)),)), rank, form)
+        g = pl.pre_polynomial(ColoredForest((Path((), (1,)),)), rank)
     g = gamma_hat_project(word_of_rs(beta, alpha), g, rep)
     f = pl._apply_fY(rep, g, f, sign=-1)
     val = rep.coinvariant(f)
-    return val.div(pl._norm_scalar(low, get_mac(rank), norm))
+    return val.div(pl._j_eval(get_mac(rank), norm_diagram(low, norm)))
 
 
 def test_twist_nested_route_agrees():
@@ -247,6 +248,17 @@ def test_alexander_values():
     assert pl.spec_alexander(sup(CABLE_32_11)) == poly_parse("1 + q^4")
 
 
+@pytest.mark.parametrize("dsl", ["twist [1,1] {[1,0]->(1)}",
+                                 "twist [1,1] {[2,1]->(1)}"])
+def test_twist_without_second_tree_specializes_as_lowered(dsl):
+    """lower_twist adds a second component; kappa must count it."""
+    pair = parse_dsl(dsl)
+    s, s_low = sup(dsl), pl.superpolynomial(lower_twist(pair))
+    assert s.poly == s_low.poly
+    assert pl.spec_alexander(s) == pl.spec_alexander(s_low)
+    assert pl.spec_khovanov(s, 2, "A") == pl.spec_khovanov(s_low, 2, "A")
+
+
 def _x_power_minus_one(n):
     return {(n, 0, 0): 1, (0, 0, 0): -1}
 
@@ -316,8 +328,22 @@ def test_moves_on_padded_word():
 
 
 def test_lift_independence():
-    rep = pl.check_symmetries(parse_dsl(TREFOIL), ["lifts"], rank=1)
-    assert rep["lifts"]["ok"]
+    # the word of [2,3] starts with a tau_- letter, the trefoil's does not
+    for dsl in (TREFOIL, "{[2,3]->(1)}"):
+        rep = pl.check_symmetries(parse_dsl(dsl), ["lifts"], rank=1)
+        assert rep["lifts"]["ok"]
+
+
+@pytest.mark.parametrize("norm", ["max", ("j_o", 2), ("j_o", "0"), ("x", 0)])
+def test_bad_normalization_fails_before_any_rank(norm, monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("a rank was evaluated")
+    monkeypatch.setattr(pl, "pre_polynomial", no_rank)
+    pair = parse_dsl(T22)
+    with pytest.raises(ValueError):
+        pl.superpolynomial(pair, norm)
+    with pytest.raises(ValueError):
+        pl.jd(pair, 1, norm)
 
 
 def test_q1_factorization():

@@ -10,7 +10,7 @@ from dahalink import scalars
 from dahalink.scalars import (
     Scal, FactoredBinomial, ZeroPolynomial, ZeroAtAEqualsZero,
     NotABinomialProduct, InexactDivision, FractionalResidue,
-    pzero, pone, pmono, padd, psub, pmul, ppow, pscale, pdivexact, pdivides,
+    pone, pmono, padd, psub, pmul, ppow, pscale, pdivexact, pdivides,
     psubstitute, hat_normalize, binomial_atoms, a_atom, atom_expand_cached,
     factor_binomials, series_divide, poly_text, poly_parse, _cyclo_coeffs,
     _multiset_union,

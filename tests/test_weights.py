@@ -10,7 +10,7 @@ from dahalink import weights as wt
 from dahalink.scalars import FactoredBinomial, poly_parse, pmul, Scal
 from dahalink.weights import (
     RankMismatch, RankTooSmall,
-    to_eps, from_eps, fundamental, zero, wt_add, wt_neg, theta, alpha, iota,
+    to_eps, from_eps, fundamental, zero, wt_add, wt_neg, theta, alpha,
     pairing, norm2, rho_eps, dominant,
     perm_id, perm_mul, perm_inv, perm_len, perm_act, simple_refl,
     reduced_word, longest_element, u_perm, sort_perm_maximal,
