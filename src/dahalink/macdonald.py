@@ -35,6 +35,10 @@ class NonTerminating(Exception):
     pass
 
 
+class NotMonic(Exception):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # dominance spans
 
@@ -152,9 +156,11 @@ class Mac:
                         acc = acc.add(md.mul(xd))
                 if acc.is_zero():
                     continue
+                # lam_b - lam_c = q^. t^. (1 - q^. t^.), kept factored
                 lb, lc = lam_b[i], lam[c]
-                diff = Scal.mono(*lb).sub(Scal.mono(*lc))
-                new[c] = acc.mul(diff.inv())
+                diff = binomial_fb(lc[0] - lb[0], lc[1] - lb[1]).mul(
+                    FactoredBinomial(1, (lb[0], lb[1], 0)))
+                new[c] = acc.div(diff)
             if set(new) == set(x) and all(
                     new[c].sub(x[c]).is_zero() for c in new):
                 self._E[b] = new
@@ -191,19 +197,30 @@ class Mac:
         return f
 
     def P(self, lam):
+        """Monic P_lambda: symmetrize(E_b) over its coefficient at X_b.
+
+        That coefficient is the Poincare polynomial of the stabilizer of b
+        in S_{n+1}, the product of [m]_t! over the multiplicities m of b's
+        epsilon coordinates (`weights.poincare`).  The divisor is built in
+        that factored form and checked against the computed coefficient.
+        """
         lam = tuple(lam)
         hit = self._P.get(lam)
         if hit is not None:
             return hit
         b = wt.to_weight(lam, self.n)
         raw = self.symmetrize(self.E(b))
-        lead = raw.get(b)
-        out = xp_scale(raw, lead.inv())
+        lead = wt.poincare(b)
+        if raw.get(b) != Scal(lead.expand()):
+            raise NotMonic(f"symmetrize(E_{b}) has {raw.get(b)} at X_{b}, "
+                           f"not the stabilizer's {lead}")
+        out = xp_scale(raw, Scal.one().div(lead))
         self._P[lam] = out
         return out
 
     def P_eval(self, lam):
-        """Closed-form P_lambda(q^{-rho_k})."""
+        """Closed-form P_lambda(q^{-rho_k}) as (num, den) FactoredBinomials,
+        the power of t folded into num."""
         key = ('P', tuple(lam))
         hit = self._eval.get(key)
         if hit is None:
@@ -218,12 +235,14 @@ class Mac:
                     for j in range(0, vb[l] - vb[m]):
                         num = num.mul(binomial_fb(j, p + 1))
                         den = den.mul(binomial_fb(j, p))
-            hit = _ratio_scal(num, den, -wt.pairing(b, _rho_weight(self.n)))
+            shift = -wt.pairing(b, _rho_weight(self.n))
+            hit = (num.mul(FactoredBinomial(1, (0, shift, 0))), den)
             self._eval[key] = hit
         return hit
 
     def P_spherical(self, lam):
-        return xp_scale(self.P(lam), self.P_eval(lam).inv())
+        num, den = self.P_eval(lam)
+        return xp_scale(self.P(lam), Scal(den.expand()).div(num))
 
     def J(self, lam):
         lam = tuple(lam)

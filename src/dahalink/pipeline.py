@@ -6,13 +6,13 @@ and the symmetry / positivity checkers.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from . import weights as wt
 from .scalars import (
-    Scal, InexactDivision, hat_normalize, pone, padd_into, psub, pmul,
-    pscale, pdivexact, psubstitute, poly_text, series_divide,
+    Scal, FactoredBinomial, InexactDivision, hat_normalize, pone, padd_into,
+    psub, pmul, ppow, pdivexact, psubstitute, poly_text, series_divide,
+    binomial_fb,
 )
 from .weights import RankTooSmall
 from .daha import (
@@ -90,11 +90,15 @@ def _apply_fY(rep, f, g, sign=1):
     return out
 
 
-def _j_eval(mac, lam):
-    """J-form evaluation at the coinvariant point."""
+def _div_j_eval(val, rank, lam):
+    """val over J_lam at the coinvariant point, h_lam P_lam(q^{-rho_k}):
+    times the P_eval denominator, divided by h_lam times its numerator,
+    once the atoms they share are cancelled."""
     if not lam:
-        return Scal.one()
-    return mac.P_eval(lam).mul(Scal(wt.h_lambda(lam).expand()))
+        return val
+    num, den = get_mac(rank).P_eval(lam)
+    num, den = wt.h_lambda(lam).mul(num).cancel(den)
+    return val.mul(Scal(den.expand())).div(num)
 
 
 def jd_raw(pair, rank, norm="min"):
@@ -107,8 +111,7 @@ def jd_raw(pair, rank, norm="min"):
     if pair.second is not None:
         g = pre_polynomial(pair.second, rank)
         f = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
-    val = rep.coinvariant(f)
-    return val.div(_j_eval(get_mac(rank), lam))
+    return _div_j_eval(rep.coinvariant(f), rank, lam)
 
 
 @dataclass(frozen=True)
@@ -227,10 +230,9 @@ def hopf_vertex(diagrams, meridian=None, vee=True):
     pair = hopf_star(diagrams, meridian, vee)
     sup = superpolynomial(pair, "min")
     union = reduce(wt.diagram_union, diagrams, ())
-    dag_den = [wt.pi_dagger(lam) for lam in diagrams]
     dag = Scal(pmul(sup.poly, wt.pi_dagger(union).expand()))
-    for fb in dag_den:
-        dag = dag.div(Scal(fb.expand()))
+    for lam in diagrams:
+        dag = dag.div(wt.pi_dagger(lam))
     top = max(k[2] for k in sup.poly)
     lead = {(k[0], k[1], 0): c for k, c in sup.poly.items() if k[2] == top}
     c_num = hat_normalize(psubstitute(lead, t=(1, 1, 0, 0)))[0]
@@ -246,55 +248,44 @@ def _kappa(pair):
     return sum(len(f.paths) for f in lower_twist(pair).forests())
 
 
-def _den_jo(pair, jo=0):
-    """Reduced-HOMFLY denominator: hook products of the other colors times
-    the dagger-product mismatch of the jo-th color against the union."""
-    colors = _all_colors(lower_twist(pair))
+def _hooks_tq(lam):
+    """prod over boxes (1 - q^{arm+leg+1}): lam's hook binomials at t = q."""
+    out = FactoredBinomial.one()
+    for arm, leg in wt.arm_leg(lam):
+        out = out.mul(binomial_fb(arm + leg + 1, 0))
+    return out
+
+
+def _den_jo(colors, jo=0):
+    """Reduced-HOMFLY denominator at t = q, as (dag, hooks): the denominator
+    is hooks / dag.  dag is the dagger product of the union of the colors
+    over that of the jo-th color, as a poly; hooks is the hook product of
+    the other colors.  The t = q hooks are built from hook lengths, so
+    their atoms are primitive."""
     union = reduce(wt.diagram_union, colors, ())
-    num = wt.pi_dagger(colors[jo]).expand()
-    den = Scal(wt.pi_dagger(union).expand())
+    dag = wt.pi_dagger(union).div(wt.pi_dagger(colors[jo]))
+    hooks = FactoredBinomial.one()
     for j, lam in enumerate(colors):
         if j != jo:
-            num = pmul(num, wt.h_lambda(lam).expand())
-    out = Scal(num).div(den)
-    return Scal(psubstitute(out.num, t=(1, 1, 0, 0)),
-                tuple(_sub_tq_atom(a) for a in out.den))
-
-
-def _sub_tq_atom(atom):
-    kind = atom[0]
-    if kind == 'a':
-        _, mq, mt = atom
-        return ('a', mq + mt, 0)
-    _, d, aq, at = atom
-    return ('c', d, aq + at, 0)
-
-
-def _unknot_value(lam):
-    """Stable colored-unknot value: dagger rows over hook binomials."""
-    from .scalars import binomial_atoms
-    num = wt.pi_dagger(lam).expand()
-    atoms = []
-    for a, l in wt.arm_leg(lam):
-        c, key, ats = binomial_atoms(a + 1, l)
-        num = pscale(num, Fraction(1, c), tuple(-e for e in key))
-        atoms.extend(ats)
-    return Scal(num, tuple(atoms))
+            hooks = hooks.mul(_hooks_tq(lam))
+    return psubstitute(dag.expand(), t=(1, 1, 0, 0)), hooks
 
 
 def spec_homfly(sup, jo=0, reduced=True):
     """t -> q, a -> -a, divided by the reduced denominator; unreduced
-    multiplies back the stable value of the jo-colored unknot."""
-    pair = sup.link
-    p = psubstitute(sup.poly, t=(1, 1, 0, 0), a=(-1, 0, 0, 1))
-    out = Scal(p).div(_den_jo(pair, jo))
+    multiplies back the stable value of the jo-colored unknot, its dagger
+    rows over its hook binomials."""
+    colors = _all_colors(lower_twist(sup.link))
+    if not 0 <= jo < len(colors):
+        raise ValueError(f"jo={jo} is out of range for a link with "
+                         f"{len(colors)} color(s)")
+    to_homfly = dict(t=(1, 1, 0, 0), a=(-1, 0, 0, 1))
+    dag, hooks = _den_jo(colors, jo)
+    out = Scal(pmul(psubstitute(sup.poly, **to_homfly), dag)).div(hooks)
     if not reduced:
-        colors = _all_colors(lower_twist(pair))
         lam = colors[jo] or (1,)
-        val = _unknot_value(lam)
-        val = Scal(psubstitute(val.num, t=(1, 1, 0, 0), a=(-1, 0, 0, 1)),
-                   tuple(_sub_tq_atom(a) for a in val.den))
-        out = out.mul(val)
+        unknot = psubstitute(wt.pi_dagger(lam).expand(), **to_homfly)
+        out = out.mul(Scal(unknot)).div(_hooks_tq(lam))
     return out
 
 
@@ -389,6 +380,10 @@ def _swap(pair):
 
 def check_symmetries(pair, suite, rank=1, norm="min", sup=None):
     """Run the requested identity checks; returns {name: report}."""
+    unknown = [name for name in suite if name not in _CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; the known checks are "
+                         f"{sorted(_CHECKS)}")
     out = {}
     for name in suite:
         try:
@@ -496,20 +491,18 @@ def _component_trees(forest):
 
 
 def _cofactor_ok(p1, p2):
-    """p1 == (1+a)^i * q^j t^k * p2 for some i >= 0, j, k (either way)."""
-    for a, b in ((p1, p2), (p2, p1)):
-        cur = dict(b)
-        for i in range(9):
-            try:
-                q = pdivexact(dict(a), cur)
-            except InexactDivision:
-                q = None
-            if q is not None and len(q) == 1:
-                c = next(iter(q.values()))
-                if c in (1, -1):
-                    return True
-            cur = pmul(cur, {(0, 0, 0): 1, (0, 0, 1): 1})
-    return False
+    """p1 == +-(1+a)^i * q^j t^k * p2 for some i >= 0, j, k (either way).
+
+    The a-degrees fix the power: i is the difference of the top a-degrees.
+    """
+    i = max(k[2] for k in p1) - max(k[2] for k in p2)
+    if i < 0:
+        p1, p2, i = p2, p1, -i
+    try:
+        q = pdivexact(p1, pmul(p2, ppow({(0, 0, 0): 1, (0, 0, 1): 1}, i)))
+    except InexactDivision:
+        return False
+    return len(q) == 1 and next(iter(q.values())) in (1, -1)
 
 
 def _check_stab_extra(pair, rank, norm, sup):

@@ -5,11 +5,13 @@ Three layers:
   * plain sparse Laurent "polys": dict mapping (e_q, e_t, e_a) -> Fraction|int,
     exponents integers or Fractions (q-exponents pick up denominators 2(n+1)
     transiently, t-exponents denominator 2);
-  * Scal: a restricted fraction field poly / (product of binomial atoms);
-    denominators never hold anything except cyclotomic-type atoms, which is
-    all the pipeline ever produces;
-  * FactoredBinomial: products of atoms kept factored, so multiplying and
-    dividing them never expands a polynomial.
+  * Scal: a poly over a product of atoms.  A Scal never factors its
+    numerator: it divides only by a FactoredBinomial, whose atoms join the
+    denominator, and an atom leaves the denominator when it divides the
+    numerator exactly;
+  * FactoredBinomial: a unit times a monomial times atoms, kept factored.
+    It is the only divisor type: every divisor is built factored where it
+    arises, so no polynomial is ever expanded and then factored again.
 
 Atoms come in two shapes:
   ('c', d, aq, at)  --  Phi_d(q^aq * t^at), the d-th cyclotomic polynomial
@@ -19,6 +21,7 @@ Atoms come in two shapes:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, comb
@@ -29,10 +32,6 @@ class ZeroPolynomial(Exception):
 
 
 class ZeroAtAEqualsZero(Exception):
-    pass
-
-
-class NotABinomialProduct(Exception):
     pass
 
 
@@ -328,7 +327,11 @@ def a_atom(mq, mt):
 # Scal: poly / product-of-atoms
 
 class Scal:
-    """num / prod(den atoms); auto-cancels atoms that divide the numerator."""
+    """num / prod(den atoms); auto-cancels atoms that divide the numerator.
+
+    The numerator is never factored, so a Scal has no general inverse:
+    divisors come as FactoredBinomials (`div`).
+    """
 
     __slots__ = ('num', 'den')
 
@@ -405,18 +408,12 @@ class Scal:
         # its denominator atoms divide
         return Scal(pscale(self.num, c, key), self.den, reduce=False)
 
-    def inv(self):
-        """Invert; requires the numerator to factor into a unit times atoms."""
-        c, key, atoms = factor_binomials(self.num)
-        inv_key = (_ex(-key[0]), _ex(-key[1]), -key[2])
-        num = pone()
-        for atm in self.den:
-            num = pmul(num, atom_expand_cached(atm))
-        num = pscale(num, Fraction(1, 1) / c, inv_key)
-        return Scal(num, atoms)
-
-    def div(self, other):
-        return self.mul(other.inv())
+    def div(self, fb):
+        """Divide by a FactoredBinomial: scale by its inverse unit and
+        monomial, and append its atoms to the denominator."""
+        inv_key = (_ex(-fb.key[0]), _ex(-fb.key[1]), -fb.key[2])
+        return Scal(pscale(self.num, 1 / fb.coeff, inv_key),
+                    self.den + fb.atoms)
 
     def as_poly(self):
         if self.den:
@@ -446,96 +443,6 @@ def _multiset_sub(a, b):
     return tuple(out)
 
 
-def factor_binomials(p):
-    """Write p as c * q^. t^. a^. * prod(atoms); NotABinomialProduct if not.
-
-    Handles products of (1 +- q^i t^j) binomials and (1 + mono * a) factors
-    times a monomial, which covers leading coefficients of symmetrizations and
-    all evaluation products.
-    """
-    if not p:
-        raise ZeroPolynomial
-    if len(p) == 1:
-        (k, c), = p.items()
-        return (Fraction(c), k, ())
-    # peel a-linear factors first: if max a-degree > 0 try candidates from
-    # the a-degree-1 part
-    amax = max(k[2] for k in p)
-    if amax > 0:
-        low = min((k for k in p if k[2] == 0), default=None)
-        if low is None:
-            raise NotABinomialProduct("pure a-divisible input")
-        for k in sorted(p):
-            if k[2] != 1:
-                continue
-            atm = a_atom(k[0], k[1])
-            quo = pdivides(p, atom_expand_cached(atm))
-            if quo is not None:
-                c, key, atoms = factor_binomials(quo)
-                return (c, key, tuple(sorted(atoms + (atm,))))
-        raise NotABinomialProduct("no a-linear factor divides input")
-    # a-free: strip monomial so the minimal (et, eq) term is the constant
-    lead = min(p, key=lambda k: (k[1], k[0]))
-    c0 = Fraction(p[lead])
-    work = pscale(p, 1 / c0, (_ex(-lead[0]), _ex(-lead[1]), 0))
-    atoms = []
-    while len(work) > 1:
-        cands = sorted((k for k in work if k != (0, 0, 0)),
-                       key=lambda k: (abs(k[0]) + abs(k[1]), k))
-        done = False
-        for k in cands:
-            sgn = work[k]
-            plus = sgn > 0
-            try:
-                bc, bk, batoms = binomial_atoms(k[0], k[1], plus=plus)
-            except ZeroPolynomial:
-                continue
-            div = pmono(bk[0], bk[1], 0, bc)
-            for atm in batoms:
-                div = pmul(div, atom_expand_cached(atm))
-            quo = pdivides(work, div)
-            if quo is None and len(cands) > 1:
-                continue
-            if quo is None:
-                break
-            work = quo
-            c0 = c0 * bc
-            lead = key_mul(lead, bk)
-            atoms.extend(batoms)
-            done = True
-            break
-        if not done:
-            # fall back to single cyclotomic factors Phi_d(q^i t^j); these
-            # arise in Poincare-polynomial leading coefficients (1 + t + t^2)
-            for k in cands:
-                if isinstance(k[0], Fraction) or isinstance(k[1], Fraction):
-                    continue
-                g = gcd(abs(k[0]), abs(k[1]))
-                if g == 0:
-                    continue
-                aq, at = k[0] // g, k[1] // g
-                if (at, aq) < (0, 0) or (at == 0 and aq < 0):
-                    aq, at = -aq, -at
-                step = abs(aq) + abs(at)
-                span = max((abs(j[0]) + abs(j[1])) // step for j in work)
-                for d in range(2, 2 * span + 3):
-                    atm = ('c', d, aq, at)
-                    quo = pdivides(work, atom_expand_cached(atm))
-                    if quo is not None:
-                        work = quo
-                        atoms.append(atm)
-                        done = True
-                        break
-                if done:
-                    break
-        if not done:
-            raise NotABinomialProduct(poly_text(p))
-    if (0, 0, 0) not in work:
-        raise NotABinomialProduct(poly_text(p))
-    c0 = c0 * work[(0, 0, 0)]
-    return (c0, lead, tuple(sorted(atoms)))
-
-
 # ---------------------------------------------------------------------------
 # FactoredBinomial
 
@@ -548,11 +455,6 @@ class FactoredBinomial:
         self.coeff = Fraction(coeff)
         self.key = key
         self.atoms = tuple(sorted(atoms))
-
-    @staticmethod
-    def from_poly(p):
-        c, key, atoms = factor_binomials(p)
-        return FactoredBinomial(c, key, atoms)
 
     @staticmethod
     def one():
@@ -572,6 +474,12 @@ class FactoredBinomial:
             (_ex(self.key[0] - other.key[0]), _ex(self.key[1] - other.key[1]),
              self.key[2] - other.key[2]),
             atoms)
+
+    def cancel(self, other):
+        """self / other as a pair of FactoredBinomials with no common atom."""
+        common = Counter(self.atoms) & Counter(other.atoms)
+        common = FactoredBinomial(1, (0, 0, 0), common.elements())
+        return self.div(common), other.div(common)
 
     def expand(self):
         p = pmono(self.key[0], self.key[1], self.key[2], self.coeff)

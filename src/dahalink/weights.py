@@ -11,6 +11,7 @@ Permutations of S_{n+1} are tuples w with w[i] = image of position i
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -289,11 +290,14 @@ def eval_products(b):
     return num, den
 
 
-def poincare(n):
-    """Poincare polynomial sum_{w in W} t^{l(w)} of S_{n+1}, factored."""
+def poincare(b):
+    """Poincare polynomial sum t^{l(w)} of the stabilizer of b in S_{n+1},
+    factored: the product of [m]_t! over the multiplicities m of b's
+    epsilon coordinates (b = 0 gives all of S_{n+1})."""
     out = FactoredBinomial.one()
-    for i in range(2, n + 2):
-        out = out.mul(binomial_fb(0, i)).div(binomial_fb(0, 1))
+    for m in Counter(to_eps(b)).values():
+        for i in range(2, m + 1):
+            out = out.mul(binomial_fb(0, i)).div(binomial_fb(0, 1))
     return out
 
 
@@ -318,7 +322,6 @@ def pi_dagger(lam):
 def tilde_N(b):
     """gcd(N_b, truncated N_inf/D_inf) as a factored multiset (type A)."""
     n = len(b)
-    from collections import Counter
     nb = Counter()
     jmax = 0
     for (l, m), j in lambda_plus_set(b):

@@ -13,6 +13,7 @@ from dahalink.daha import (
     xp_eval, NotCoprime, word_matrix, word_of_rs, gamma_hat_project,
     _core_project, HALF,
 )
+from factoring import scal_inv
 
 
 def basket(n, seed):
@@ -255,6 +256,6 @@ def test_trefoil_from_monomial_orbit():
     rep = get_rep(1)
     f = xp_add(xp_mono((1,)), xp_mono((-1,)))
     out = gamma_hat_project(word_of_rs(3, 2), f, rep)
-    val = rep.coinvariant(out).div(rep.coinvariant(f))   # spherical scaling
+    val = rep.coinvariant(out).mul(scal_inv(rep.coinvariant(f)))  # spherical
     p, _ = hat_normalize(val.as_poly())
     assert poly_text(p) == "1 + q*t - q*t^2"

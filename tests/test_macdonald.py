@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dahalink import weights as wt
-from dahalink.scalars import (Scal, FactoredBinomial, pmul, pone, pscale,
+from dahalink.scalars import (Scal, FactoredBinomial, pmul, pone,
                               psubstitute, atom_expand_cached, poly_parse,
                               binomial_fb, _ex)
 from dahalink.daha import (get_rep, xp_one, xp_mono, xp_add, xp_add_into,
@@ -17,11 +17,18 @@ from dahalink.daha import (get_rep, xp_one, xp_mono, xp_add, xp_add_into,
                            gamma_hat_project, HALF)
 from dahalink.macdonald import (Mac, get_mac, span_weights, mu_inner_truncated,
                                 star_scal, star_xpoly, NonTerminating,
-                                _rho_weight, _ratio_scal)
+                                NotMonic, _rho_weight, _ratio_scal)
+from factoring import factored, scal_inv
 
 
 def scal_parse(num_text, den_atoms=()):
     return Scal(poly_parse(num_text), tuple(den_atoms))
+
+
+def p_eval(m, lam):
+    """Mac.P_eval's (num, den) pair as one Scal."""
+    num, den = m.P_eval(lam)
+    return Scal(num.expand()).div(den)
 
 
 def eq_through(lhs, rhs, N):
@@ -175,6 +182,32 @@ def test_P_rank_guard():
         get_mac(1).P((1, 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetrize_lead_is_stabilizer_poincare(n):
+    """Mac.P divides by the stabilizer's Poincare product; it must equal
+    the coefficient of X_b in symmetrize(E_b), computed here directly."""
+    m = get_mac(n)
+    for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1),
+                (2, 1, 1)]:
+        if len(lam) > n:
+            continue
+        b = wt.to_weight(lam, n)
+        lead = m.symmetrize(m.E(b))[b]
+        assert lead == Scal(wt.poincare(b).expand()), (n, lam)
+
+
+def test_P_raises_when_the_lead_is_not_the_poincare_product(monkeypatch):
+    monkeypatch.setattr(wt, "poincare", lambda b: FactoredBinomial.one())
+    with pytest.raises(NotMonic):
+        Mac(2).P((1,))
+
+
+def test_poincare_of_zero_is_the_full_group():
+    # sum over S_3 of t^l(w) = 1 + 2t + 2t^2 + t^3
+    assert wt.poincare((0, 0)).expand() == poly_parse(
+        "1 + 2*t + 2*t^2 + t^3")
+
+
 # ---------------------------------------------------------------------------
 # closed evaluations
 
@@ -182,10 +215,10 @@ def test_eval_examples():
     m = get_mac(1)
     # P at omega: t^{-1/2}(1+t)
     want = Scal({(0, Fraction(-1, 2), 0): 1, (0, Fraction(1, 2), 0): 1})
-    assert m.P_eval((1,)).sub(want).is_zero()
+    assert p_eval(m, (1,)).sub(want).is_zero()
     # P at 2*omega: t^{-1}(1+t)(1-qt^2)/(1-qt)
     want2 = scal_parse("-t^-1 - 1 + q*t + q*t^2", [('c', 1, 1, 1)])
-    assert m.P_eval((2,)).sub(want2).is_zero()
+    assert p_eval(m, (2,)).sub(want2).is_zero()
 
 
 @pytest.mark.parametrize("n,lams,bs", [
@@ -198,7 +231,7 @@ def test_eval_closed_equals_substitution(n, lams, bs):
     m = get_mac(n)
     pt = wt.minus_rho_k(n)
     for lam in lams:
-        assert xp_eval(m.P(lam), pt).sub(m.P_eval(lam)).is_zero()
+        assert xp_eval(m.P(lam), pt).sub(p_eval(m, lam)).is_zero()
     for b in bs:
         assert xp_eval(m.E(b), pt).sub(m.E_eval(b)).is_zero()
 
@@ -231,7 +264,7 @@ def test_tilde_N_E_integrality(n, b):
     """tilde_N * E-spherical has polynomial coefficients."""
     m = get_mac(n)
     Nb = Scal(wt.tilde_N(b).expand())
-    f = xp_scale(m.E(b), m.E_eval(b).inv())
+    f = xp_scale(m.E(b), scal_inv(m.E_eval(b)))
     assert int_coeffs(xp_scale(f, Nb))
 
 
@@ -249,7 +282,7 @@ def test_tilde_N_P_integrality(n, b):
     f = xp_scale(m.P_spherical(lam), Nb)
     for c in f.values():
         assert all(eq == 0 for _, _, eq, _ in c.den)
-    pi = Scal(wt.poincare(n).expand())
+    pi = Scal(wt.poincare(wt.zero(n)).expand())
     assert int_coeffs(xp_scale(f, pi))
 
 
@@ -370,7 +403,7 @@ def test_norm_spherical_vs_pairing_rank1():
 def test_norm_spherical_closed_rank1():
     # <P1,P1> = (1-q)(1-t^2)/((1-t)(1-qt)); spherical divides by ev*ev_star
     m = get_mac(1)
-    ev = m.P_eval((1,))
+    ev = p_eval(m, (1,))
     full = m.norm_spherical((1,)).mul(ev).mul(star_scal(ev))
     want = scal_parse("1 - q - t^2 + q*t^2",
                       [('c', 1, 0, 1), ('c', 1, 1, 1)])
@@ -394,8 +427,8 @@ def test_norm_spherical_vs_E_norm_sum(n, lam):
     acc = Scal.zero()
     for e, c in expand_in_E(m, m.P(lam)).items():
         acc = acc.add(c.mul(star_scal(c)).mul(E_norm_from_lambda_plus(e)))
-    ev = m.P_eval(lam)
-    sph = acc.mul(ev.inv()).mul(star_scal(ev).inv())
+    ev = p_eval(m, lam)
+    sph = acc.mul(scal_inv(ev)).mul(scal_inv(star_scal(ev)))
     assert sph.sub(m.norm_spherical(lam)).is_zero()
 
 
@@ -406,9 +439,7 @@ def stable_at_rank(lam, n):
     for atm in st.den:
         den = pmul(den, psubstitute(atom_expand_cached(atm),
                                     a=(-1, 0, n + 1, 0)))
-    fb = FactoredBinomial.from_poly(den)
-    return Scal(pscale(num, Fraction(1) / fb.coeff,
-                       (-fb.key[0], -fb.key[1], -fb.key[2])), fb.atoms)
+    return Scal(num).div(factored(den))
 
 
 @pytest.mark.parametrize("n,lam", [(1, (1,)), (1, (3,)), (2, (1,)),

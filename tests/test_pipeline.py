@@ -13,14 +13,13 @@ from dahalink.links import (
     norm_diagram,
 )
 from dahalink.scalars import (
-    Scal, InexactDivision, poly_parse, poly_text, pmul, pdivexact,
+    Scal, InexactDivision, poly_parse, poly_text, pmul, ppow, pdivexact,
     psubstitute, hat_normalize,
 )
 import dahalink
 from dahalink import pipeline as pl
 from dahalink.cli import main
 from dahalink.daha import get_rep, gamma_hat_project, word_of_rs
-from dahalink.macdonald import get_mac
 
 
 TREFOIL = "{[3,2]->(1)}"
@@ -117,8 +116,7 @@ def _jd_nested(pair, rank, norm="min"):
         g = pl.pre_polynomial(ColoredForest((Path((), (1,)),)), rank)
     g = gamma_hat_project(word_of_rs(beta, alpha), g, rep)
     f = pl._apply_fY(rep, g, f, sign=-1)
-    val = rep.coinvariant(f)
-    return val.div(pl._j_eval(get_mac(rank), norm_diagram(low, norm)))
+    return pl._div_j_eval(rep.coinvariant(f), rank, norm_diagram(low, norm))
 
 
 def test_twist_nested_route_agrees():
@@ -206,11 +204,17 @@ def test_hopf_dagger_unknot():
 
 def test_hopf_triple_uncolored():
     s = sup("{[1,-1]->(1) | [1,-1]->(1) | ^1 [1,-1]->(1)}")
+    # the window starting at rank 1 gives an inexact Newton step
+    assert s.ranks == (2, 3, 4)
     assert s.poly == poly_parse(
         "1 + a*q + a*q^2 + a*t^-2 - 2*a*q*t^-2 + a*q^2*t^-2 + a*t^-1"
         " + a*q*t^-1 - 2*a*q^2*t^-1 + a^2*q^3 + a^2*t^-3 - 2*a^2*q*t^-3"
         " + a^2*q^2*t^-3 + a^2*q*t^-2 - 2*a^2*q^2*t^-2 + a^2*q^3*t^-2"
         " + a^2*q*t^-1 + a^2*q^2*t^-1 - 2*a^2*q^3*t^-1")
+
+
+def test_positive_hopf_triple_window_starts_at_rank_1():
+    assert sup("{[1,1]->(1) | [1,1]->(1) | [1,1]->(1)}").ranks == (1, 2, 3)
 
 
 def test_hopf_pair_with_vee_meridian():
@@ -354,6 +358,34 @@ def test_q1_factorization():
 def test_stab_extra_rank():
     rep = pl.check_symmetries(parse_dsl(TREFOIL), ["stab_extra"])
     assert rep["stab_extra"]["ok"]
+
+
+def test_cofactor_power_is_read_from_the_a_degrees():
+    p2 = poly_parse("1 + q*t - a*t^2 + a^2*q")
+    one_a = poly_parse("1 + a")
+    p1 = pmul(pmul(ppow(one_a, 10), poly_parse("q*t^-1")), p2)
+    assert pl._cofactor_ok(p1, p2)
+    assert pl._cofactor_ok(p2, p1)
+    bad = pmul(pmul(ppow(one_a, 2), poly_parse("1 + q")), p2)
+    assert not pl._cofactor_ok(bad, p2)
+
+
+def test_unknown_check_fails_before_any_check(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setitem(pl._CHECKS, "q1", no_check)
+    with pytest.raises(ValueError, match=r"\['nope'\].*known checks.*'q1'"):
+        pl.check_symmetries(parse_dsl(TREFOIL), ["q1", "nope"])
+
+
+def test_homfly_color_index_out_of_range_fails_before_any_work(monkeypatch):
+    s = sup(TREFOIL)
+
+    def no_den(*args):
+        raise AssertionError("the denominator was built")
+    monkeypatch.setattr(pl, "_den_jo", no_den)
+    with pytest.raises(ValueError, match="jo=3.* 1 color"):
+        pl.spec_homfly(s, jo=3)
 
 
 def test_positivity_algebraic():

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from dahalink import scalars
 from dahalink.scalars import (
     Scal, FactoredBinomial, ZeroPolynomial, ZeroAtAEqualsZero,
-    NotABinomialProduct, InexactDivision, FractionalResidue,
+    InexactDivision, FractionalResidue,
     pone, pmono, padd, psub, pmul, ppow, pscale, pdivexact, pdivides,
-    psubstitute, hat_normalize, binomial_atoms, a_atom, atom_expand_cached,
-    factor_binomials, series_divide, poly_text, poly_parse, _cyclo_coeffs,
+    psubstitute, hat_normalize, binomial_atoms, binomial_fb, a_atom,
+    atom_expand_cached, series_divide, poly_text, poly_parse, _cyclo_coeffs,
     _multiset_union,
 )
+from factoring import NotABinomialProduct, factor_binomials, scal_inv
 
 
 def P(text):
@@ -188,6 +189,15 @@ def test_factor_rejects_non_product():
         factor_binomials(P("1 + q + q^3*t"))
 
 
+def test_factored_binomial_cancel_drops_shared_atoms():
+    num = binomial_fb(0, 2).mul(binomial_fb(1, 1))    # (1-t^2)(1-qt)
+    den = binomial_fb(0, 1).mul(binomial_fb(0, 3))    # (1-t)(1-t^3)
+    n2, d2 = num.cancel(den)
+    assert n2.atoms == (('c', 1, 1, 1), ('c', 2, 0, 1))
+    assert d2.atoms == (('c', 1, 0, 1), ('c', 3, 0, 1))
+    assert pmul(n2.expand(), den.expand()) == pmul(num.expand(), d2.expand())
+
+
 def test_pi_dagger_lcm():
     # (1+a)(1+qa) vs (1+a)(1+a/t) -> (1+a)(1+qa)(1+a/t): the common
     # denominator Scal.add builds
@@ -243,7 +253,20 @@ def test_scal_add_different_dens():
 
 def test_scal_inv_roundtrip():
     s = Scal(P("1 - q*t^2"), (('c', 1, 0, 1),))
-    assert s.mul(s.inv()).sub(Scal.one()).is_zero()
+    assert s.mul(scal_inv(s)).sub(Scal.one()).is_zero()
+
+
+def test_scal_div_by_factored_binomial():
+    # (1 - q^2 t^2) / (-q^-1 (1 - q t)) = -q (1 + q t): the atom Phi_1(qt)
+    # joins the denominator and cancels, Phi_2(qt) never enters it
+    fb = binomial_fb(1, 1).mul(FactoredBinomial(-1, (-1, 0, 0)))
+    assert fb.expand() == P("-q^-1 + t")
+    s = Scal(P("1 - q^2*t^2")).div(fb)
+    assert s.is_poly() and s.num == P("-q - q^2*t")
+    # an atom that does not divide stays in the denominator, sorted
+    s = Scal(P("1 + q"), (('c', 2, 0, 1),)).div(binomial_fb(0, 1))
+    assert s.den == (('c', 1, 0, 1), ('c', 2, 0, 1))
+    assert s.num == P("-1 - q")
 
 
 def test_scal_eq_cross_multiplied():
