@@ -126,7 +126,6 @@ class Rep:
                                  for r in range(1, n + 1)]
         self._img_memo = {}
         self.t_half = Scal.mono(et=HALF)
-        self.t_diff = self.t_half.sub(Scal.mono(et=-HALF))
 
     # -- generator actions -----------------------------------------------
 

@@ -344,12 +344,18 @@ def drop_r0(pair, site):
 
 
 def contract_r1(pair, site):
-    """Remove an r=1 vertex, folding its s into the next one (4.5)."""
+    """Remove an r=1 vertex, folding its s into the next one (4.5).
+
+    Paths of the block that part at vertex i link through it; when s0 != 0
+    the contraction would lose that linking, so it is refused there.
+    """
     comp, forest, j, i = _site(pair, site)
     if forest.paths[j].labels[i - 1][0] != 1:
         raise MoveNotApplicable("r != 1")
     lo, hi = _block(forest, j, i)
     s0 = forest.paths[j].labels[i - 1][1]
+    if s0 and any(forest.paths[k].share == i for k in range(lo + 1, hi + 1)):
+        raise MoveNotApplicable("paths part at the contracted vertex")
     paths = []
     for k, p in enumerate(forest.paths):
         if lo <= k <= hi:
@@ -423,19 +429,6 @@ def reorient(pair, sites):
     if pair.second is not None:
         out = replace(out, second=forests[1])
     return out
-
-
-_MOVES = {"drop_r0": drop_r0, "contract_r1": contract_r1,
-          "transpose_first": transpose_first, "mirror": mirror,
-          "reorient": reorient}
-
-
-def normalize_moves(pair, move, *args):
-    try:
-        fn = _MOVES[move]
-    except KeyError:
-        raise MoveNotApplicable(move) from None
-    return fn(pair, *args)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .daha import (
 from .macdonald import get_mac
 from .links import (
     LinkPair, ColoredForest, Path, lower_twist, deg_a_bound, norm_diagram,
-    normalize_moves, MoveNotApplicable,
+    drop_r0, contract_r1, MoveNotApplicable,
 )
 
 
@@ -419,21 +419,19 @@ def _check_moves(pair, rank, norm, sup):
     base = jd(low, rank, norm).poly
     tried = []
     for comp, forest in enumerate(low.forests()):
-        if forest is None:
-            continue
         for j, p in enumerate(forest.paths):
             for i, (r, s) in enumerate(p.labels, start=1):
-                move = {0: "drop_r0", 1: "contract_r1"}.get(r)
+                move = {0: drop_r0, 1: contract_r1}.get(r)
                 if move is None:
                     continue
-                if move == "contract_r1" and i == 1:
+                if move is contract_r1 and i == 1:
                     continue        # changes the closed link component-wise
                 try:
-                    moved = normalize_moves(low, move, (comp, j, i))
+                    moved = move(low, (comp, j, i))
                 except MoveNotApplicable:
                     continue
                 got = jd(moved, rank, norm).poly
-                tried.append((move, (comp, j, i), got == base))
+                tried.append((move.__name__, (comp, j, i), got == base))
     ok = all(t[2] for t in tried)
     return {"ok": ok, "tried": tried} if tried else \
         {"ok": True, "skipped": "no applicable site"}
@@ -474,10 +472,8 @@ def _check_q1(pair, rank, norm, sup):
     whole = psubstitute(s.poly, q=(1, 0, 0, 0))
     low = lower_twist(pair)
     prod = pone()
-    for forest, flip in ((low.first, False), (low.second, False)):
-        if forest is None:
-            continue
-        for lo, hi, sub in _component_trees(forest):
+    for forest in low.forests():
+        for sub in _component_trees(forest):
             ksup = superpolynomial(LinkPair(sub), norm)
             prod = pmul(prod, psubstitute(ksup.poly, q=(1, 0, 0, 0)))
     ok = _cofactor_ok(whole, prod)
@@ -486,8 +482,8 @@ def _check_q1(pair, rank, norm, sup):
 
 def _component_trees(forest):
     """Each path as its own one-component tree (colors kept)."""
-    for j, p in enumerate(forest.paths):
-        yield j, j, ColoredForest((Path(p.labels, p.color, 0),))
+    for p in forest.paths:
+        yield ColoredForest((Path(p.labels, p.color, 0),))
 
 
 def _cofactor_ok(p1, p2):

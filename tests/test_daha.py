@@ -16,6 +16,9 @@ from dahalink.daha import (
 from factoring import scal_inv
 
 
+T_DIFF = Scal.mono(et=HALF).sub(Scal.mono(et=-HALF))    # t^{1/2} - t^{-1/2}
+
+
 def basket(n, seed):
     """A few deterministic 'random' Laurent polynomials of rank n."""
     out = []
@@ -46,9 +49,9 @@ def t_op_by_division(rep, i, f, sign=1):
             c = c.scale(1, (sum(b), 0, 0))      # q^{(b, theta)}
         xp_add_into(sf, {wt.from_eps(tuple(v)): c})
     quo = _div_binomial(xp_add_into(dict(sf), f, Scal.mono(c=-1)), w, cq)
-    out = xp_add_into(xp_scale(sf, rep.t_half), quo, rep.t_diff)
+    out = xp_add_into(xp_scale(sf, rep.t_half), quo, T_DIFF)
     if sign == -1:
-        xp_add_into(out, f, rep.t_diff.neg())
+        xp_add_into(out, f, T_DIFF.neg())
     return out
 
 
@@ -105,13 +108,12 @@ def test_t_op_matches_division(n, data):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_quadratic_hecke_relation(n):
     rep = get_rep(n)
-    dt = rep.t_diff       # t^{1/2} - t^{-1/2}
     for f in basket(n, 1):
         for i in range(0, n + 1):
             tf = rep.t_op(i, f)
             ttf = rep.t_op(i, tf)
             # T^2 = (t^{1/2}-t^{-1/2}) T + 1
-            rhs = xp_add(xp_scale(tf, dt), f)
+            rhs = xp_add(xp_scale(tf, T_DIFF), f)
             assert xp_eq(ttf, rhs)
 
 

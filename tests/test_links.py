@@ -4,19 +4,20 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dahalink.links import (
     Path, ColoredForest, LinkPair,
     NonCoprimeLabel, BadShareDepth, MoveNotApplicable,
     parse_dsl, to_dsl, to_json, cab_params, linking_number,
-    normalize_moves, lower_twist, classify_positive, deg_a_bound,
-    splice_export,
+    drop_r0, contract_r1, transpose_first, mirror, reorient,
+    lower_twist, classify_positive, deg_a_bound, splice_export,
 )
 
 
 TREFOIL = "{[3,2]->(1)}"
 TWO_TREFOIL = "{[3,2]->(1) | ^1 [3,2]->(1)}"
+SHARED_R1 = "{[1,1],[3,2]->(1) | ^1 [1,1],[2,1]->(1)}"
 
 
 # ---------------------------------------------------------------------------
@@ -166,26 +167,40 @@ def test_contract_r1():
     # [1,m] -> [3,2] becomes [3, 3m+2]
     for m in (0, 1, 5, -2):
         pair = parse_dsl("{[1,%d],[3,2]->(1)}" % m)
-        out = normalize_moves(pair, "contract_r1", (0, 0, 1))
+        out = contract_r1(pair, (0, 0, 1))
         assert out.first.paths[0].labels == ((3, 3 * m + 2),)
 
 
 def test_contract_r1_shared():
-    pair = parse_dsl("{[1,1],[3,2]->(1) | ^1 [1,1],[2,1]->(1)}")
-    out = normalize_moves(pair, "contract_r1", (0, 0, 1))
-    assert out.first.paths[0].labels == ((3, 5),)
-    assert out.first.paths[1].labels == ((2, 3),)
-    assert out.first.paths[1].share == 0
+    # the paths part at the [1,1] vertex, which carries their linking
+    for dsl in (SHARED_R1, "{[1,1]->(1) | [1,1]->(1)}"):
+        with pytest.raises(MoveNotApplicable):
+            contract_r1(parse_dsl(dsl), (0, 0, 1))
+    # s0 = 0 carries none, so the paths may part there
+    out = contract_r1(parse_dsl("{[1,0],[3,2]->(1) | ^1 [1,0],[2,1]->(1)}"),
+                      (0, 0, 1))
+    assert [p.labels for p in out.first.paths] == [((3, 2),), ((2, 1),)]
+
+
+def test_contract_r1_folds_into_a_shared_next_vertex():
+    # every path keeps vertex 2, so s0 folds into it on each of them
+    pair = parse_dsl("{[1,1],[3,2]->(1) | [1,1],[3,2],[2,1]->(1)"
+                     " | ^2 [1,1],[3,2],[2,3]->(1)}")
+    out = contract_r1(pair, (0, 0, 1))
+    assert [p.labels for p in out.first.paths] == [
+        ((3, 5),), ((3, 5), (2, 1)), ((3, 5), (2, 3))]
+    assert [p.share for p in out.first.paths] == [0, 1, 1]
+    assert _all_linking(out.first) == _all_linking(pair.first) == [30, 30, 60]
 
 
 def test_transpose_first():
-    out = normalize_moves(parse_dsl(TREFOIL), "transpose_first", (0, 0))
+    out = transpose_first(parse_dsl(TREFOIL), (0, 0))
     assert out.first.paths[0].labels == ((2, 3),)
 
 
 def test_drop_r0():
     pair = parse_dsl("{[0,1],[3,2]->(1) | ^1 [0,1]->(2)}")
-    out = normalize_moves(pair, "drop_r0", (0, 0, 1))
+    out = drop_r0(pair, (0, 0, 1))
     assert out.first.paths[0].labels == ((3, 2),)
     assert out.first.paths[1].labels == ()       # unknot arrowhead
 
@@ -193,38 +208,38 @@ def test_drop_r0():
 def test_drop_r0_splits_subtree():
     # untouched deeper branch survives with its prefix intact
     pair = parse_dsl("{[2,1],[0,1]->(1) | ^1 [2,1],[3,2]->(1)}")
-    out = normalize_moves(pair, "drop_r0", (0, 0, 2))
+    out = drop_r0(pair, (0, 0, 2))
     assert out.first.paths[0].labels == ()
     assert out.first.paths[1].labels == ((2, 1), (3, 2))
     assert out.first.paths[1].share == 0
 
 
 def test_mirror_negates_s():
-    out = normalize_moves(parse_dsl(TWO_TREFOIL), "mirror")
+    out = mirror(parse_dsl(TWO_TREFOIL))
     assert all(p.labels == ((3, -2),) for p in out.first.paths)
 
 
 def test_reorient():
-    out = normalize_moves(parse_dsl(TREFOIL), "reorient", [(0, 0)])
+    out = reorient(parse_dsl(TREFOIL), [(0, 0)])
     assert out.first.paths[0].labels == ((-3, -2),)
 
 
 def test_reorient_shared_vertex_guard():
     pair = parse_dsl(TWO_TREFOIL)
     with pytest.raises(MoveNotApplicable):
-        normalize_moves(pair, "reorient", [(0, 0)])
-    out = normalize_moves(pair, "reorient", [(0, 0), (0, 1)])
+        reorient(pair, [(0, 0)])
+    out = reorient(pair, [(0, 0), (0, 1)])
     assert all(p.labels == ((-3, -2),) for p in out.first.paths)
 
 
 def test_move_not_applicable():
     pair = parse_dsl(TREFOIL)
     with pytest.raises(MoveNotApplicable):
-        normalize_moves(pair, "contract_r1", (0, 0, 1))   # r = 3
+        contract_r1(pair, (0, 0, 1))   # r = 3
     with pytest.raises(MoveNotApplicable):
-        normalize_moves(pair, "drop_r0", (0, 0, 1))
+        drop_r0(pair, (0, 0, 1))
     with pytest.raises(MoveNotApplicable):
-        normalize_moves(parse_dsl("{()->(1)}"), "transpose_first", (0, 0))
+        transpose_first(parse_dsl("{()->(1)}"), (0, 0))
 
 
 def _all_linking(forest):
@@ -234,6 +249,8 @@ def _all_linking(forest):
 
 
 @given(forests(min_paths=2))
+@example(parse_dsl("{[1,1]->(1) | [1,1]->(1)}").first)
+@example(parse_dsl(SHARED_R1).first)
 @settings(max_examples=60, deadline=None)
 def test_moves_preserve_linking(forest):
     pair = LinkPair(forest)
@@ -241,16 +258,19 @@ def test_moves_preserve_linking(forest):
     for j, p in enumerate(forest.paths):
         for i, (r, s) in enumerate(p.labels, start=1):
             if r == 1:
-                out = normalize_moves(pair, "contract_r1", (0, j, i))
+                try:
+                    out = contract_r1(pair, (0, j, i))
+                except MoveNotApplicable:
+                    continue
                 assert _all_linking(out.first) == base
             if r == 0:
-                out = normalize_moves(pair, "drop_r0", (0, j, i))
+                out = drop_r0(pair, (0, j, i))
                 ref = [0 if forest.incidence(a, b) >= i and
                        _through(forest, j, i, a, b) else v
                        for (a, b), v in zip(_pairs(forest), base)]
                 assert _all_linking(out.first) == ref
         if p.labels:
-            out = normalize_moves(pair, "transpose_first", (0, j))
+            out = transpose_first(pair, (0, j))
             assert _all_linking(out.first) == base
 
 
@@ -296,7 +316,7 @@ def test_mirror_kills_positivity(forest):
     pair = LinkPair(forest)
     assume(any(p.labels for p in forest.paths))
     if classify_positive(pair) == "positive_tree":
-        assert classify_positive(normalize_moves(pair, "mirror")) == "generic"
+        assert classify_positive(mirror(pair)) == "generic"
 
 
 def test_lower_twist():

@@ -15,10 +15,11 @@ from dahalink.scalars import (Scal, FactoredBinomial, pmul, pone,
 from dahalink.daha import (get_rep, xp_one, xp_mono, xp_add, xp_add_into,
                            xp_eq, xp_eval, xp_scale, word_of_rs,
                            gamma_hat_project, HALF)
-from dahalink.macdonald import (Mac, get_mac, span_weights, mu_inner_truncated,
-                                star_scal, star_xpoly, NonTerminating,
-                                NotMonic, _rho_weight, _ratio_scal)
+from dahalink.macdonald import (Mac, get_mac, span_weights, NonTerminating,
+                                NotMonic, _rho_weight)
 from factoring import factored, scal_inv
+from norms import (E_eval, P_spherical, norm_spherical, norm_stable,
+                   ratio_scal, mu_inner_truncated, star_scal, star_xpoly)
 
 
 def scal_parse(num_text, den_atoms=()):
@@ -129,7 +130,8 @@ def test_E_minus_omega():
 
 
 @pytest.mark.parametrize("n,b", [(1, (2,)), (1, (-2,)), (2, (1, 1)),
-                                 (2, (-1, 1)), (2, (0, -2)), (3, (1, 0, 1))])
+                                 (2, (-1, 1)), (2, (0, -2)), (3, (1, 0, 1)),
+                                 (3, (0, -1, -2)), (3, (0, -3, 2))])
 def test_E_joint_eigenvector(n, b):
     m = get_mac(n)
     rep = get_rep(n)
@@ -138,6 +140,25 @@ def test_E_joint_eigenvector(n, b):
     for i in range(1, n + 1):
         lam = Scal.mono(*m.eigen_exp(i, b))
         assert xp_eq(rep.y_op(rep.omegas[i], E), xp_scale(E, lam))
+
+
+def test_E_refuses_a_non_triangular_Y(monkeypatch):
+    """Y-columns of X_0 and X_{-2} that reach each other leave no order
+    in which to solve the rows of E_2."""
+    m = Mac(1)
+    y_op = m.rep.y_op
+    partner = {(0,): (-2,), (-2,): (0,)}
+
+    def planted(om, f):
+        out = y_op(om, f)
+        for d in f:
+            if d in partner:
+                out = xp_add(out, xp_mono(partner[d], Scal.mono(eq=7)))
+        return out
+
+    monkeypatch.setattr(m.rep, "y_op", planted)
+    with pytest.raises(NonTerminating, match=r"Y not triangular: \["):
+        m.E((2,))
 
 
 def test_span_weights_closed():
@@ -233,14 +254,14 @@ def test_eval_closed_equals_substitution(n, lams, bs):
     for lam in lams:
         assert xp_eval(m.P(lam), pt).sub(p_eval(m, lam)).is_zero()
     for b in bs:
-        assert xp_eval(m.E(b), pt).sub(m.E_eval(b)).is_zero()
+        assert xp_eval(m.E(b), pt).sub(E_eval(m, b)).is_zero()
 
 
 def test_spherical_coinvariant_one():
     m = get_mac(2)
     rep = get_rep(2)
     for lam in [(1,), (2, 1)]:
-        assert rep.coinvariant(m.P_spherical(lam)).sub(Scal.one()).is_zero()
+        assert rep.coinvariant(P_spherical(m, lam)).sub(Scal.one()).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +285,7 @@ def test_tilde_N_E_integrality(n, b):
     """tilde_N * E-spherical has polynomial coefficients."""
     m = get_mac(n)
     Nb = Scal(wt.tilde_N(b).expand())
-    f = xp_scale(m.E(b), scal_inv(m.E_eval(b)))
+    f = xp_scale(m.E(b), scal_inv(E_eval(m, b)))
     assert int_coeffs(xp_scale(f, Nb))
 
 
@@ -279,7 +300,7 @@ def test_tilde_N_P_integrality(n, b):
     m = get_mac(n)
     lam = wt.to_diagram(b)
     Nb = Scal(wt.tilde_N(b).expand())
-    f = xp_scale(m.P_spherical(lam), Nb)
+    f = xp_scale(P_spherical(m, lam), Nb)
     for c in f.values():
         assert all(eq == 0 for _, _, eq, _ in c.den)
     pi = Scal(wt.poincare(wt.zero(n)).expand())
@@ -396,15 +417,15 @@ def test_mu_orthogonality():
 def test_norm_spherical_vs_pairing_rank1():
     m = get_mac(1)
     N = 4
-    got = mu_inner_truncated(m.P_spherical((1,)), m.P_spherical((1,)), 1, N)
-    assert eq_through(got, m.norm_spherical((1,)), N)
+    got = mu_inner_truncated(P_spherical(m, (1,)), P_spherical(m, (1,)), 1, N)
+    assert eq_through(got, norm_spherical(m, (1,)), N)
 
 
 def test_norm_spherical_closed_rank1():
     # <P1,P1> = (1-q)(1-t^2)/((1-t)(1-qt)); spherical divides by ev*ev_star
     m = get_mac(1)
     ev = p_eval(m, (1,))
-    full = m.norm_spherical((1,)).mul(ev).mul(star_scal(ev))
+    full = norm_spherical(m, (1,)).mul(ev).mul(star_scal(ev))
     want = scal_parse("1 - q - t^2 + q*t^2",
                       [('c', 1, 0, 1), ('c', 1, 1, 1)])
     assert full.sub(want).is_zero()
@@ -417,7 +438,7 @@ def E_norm_from_lambda_plus(b):
         p = mm - l
         num = num.mul(binomial_fb(j, p - 1)).mul(binomial_fb(j, p + 1))
         den = den.mul(binomial_fb(j, p)).mul(binomial_fb(j, p))
-    return _ratio_scal(num, den, 0)
+    return ratio_scal(num, den, 0)
 
 
 @pytest.mark.parametrize("n,lam", [(1, (2,)), (2, (1, 1)), (2, (2, 1))])
@@ -429,11 +450,11 @@ def test_norm_spherical_vs_E_norm_sum(n, lam):
         acc = acc.add(c.mul(star_scal(c)).mul(E_norm_from_lambda_plus(e)))
     ev = p_eval(m, lam)
     sph = acc.mul(scal_inv(ev)).mul(scal_inv(star_scal(ev)))
-    assert sph.sub(m.norm_spherical(lam)).is_zero()
+    assert sph.sub(norm_spherical(m, lam)).is_zero()
 
 
 def stable_at_rank(lam, n):
-    st = Mac.norm_stable(lam)
+    st = norm_stable(lam)
     num = psubstitute(st.num, a=(-1, 0, n + 1, 0))
     den = pone()
     for atm in st.den:
@@ -446,7 +467,8 @@ def stable_at_rank(lam, n):
                                    (2, (1, 1)), (2, (2, 1)), (3, (2, 2)),
                                    (4, (1, 1))])
 def test_norm_stable_specializes(n, lam):
-    assert stable_at_rank(lam, n).sub(get_mac(n).norm_spherical(lam)).is_zero()
+    want = norm_spherical(get_mac(n), lam)
+    assert stable_at_rank(lam, n).sub(want).is_zero()
 
 
 def test_star_xpoly_involution():
