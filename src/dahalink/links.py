@@ -124,6 +124,15 @@ def _tokenize(text):
     return out
 
 
+def _default_share(prev, labels):
+    """The share a path gets when none is written: the longest common prefix
+    of its labels with the previous path's (prev is () for the first)."""
+    share = 0
+    while share < min(len(prev), len(labels)) and prev[share] == labels[share]:
+        share += 1
+    return share
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
@@ -156,7 +165,7 @@ class _Parser:
         self.take(close)
         return (r, s)
 
-    def pathline(self, first):
+    def pathline(self, prev):
         share = None
         if self.peek() == "^":
             self.take()
@@ -178,17 +187,13 @@ class _Parser:
             color.append(self.int_())
         self.take(")")
         labels = tuple(labels)
-        if share is None:       # default: maximal common prefix
-            share = 0
-            if first is not None:
-                while share < min(len(first), len(labels)) and \
-                        first[share] == labels[share]:
-                    share += 1
+        if share is None:
+            share = _default_share(prev, labels)
         return Path(labels, tuple(color), share)
 
     def component(self):
         self.take("{")
-        paths = [self.pathline(None)]
+        paths = [self.pathline(())]
         while self.peek() == "|":
             self.take()
             paths.append(self.pathline(paths[-1].labels))
@@ -236,15 +241,11 @@ def parse_dsl(text):
 
 def to_dsl(pair):
     def comp(forest):
-        lines, prev = [], None
+        lines, prev = [], ()
         for p in forest.paths:
             lab = ",".join(f"[{r},{s}]" for r, s in p.labels) or "()"
-            default = 0
-            if prev is not None:
-                while default < min(len(prev), len(p.labels)) and \
-                        prev[default] == p.labels[default]:
-                    default += 1
-            mark = "" if p.share == default else f"^{p.share} "
+            mark = "" if p.share == _default_share(prev, p.labels) \
+                else f"^{p.share} "
             lines.append(f"{mark}{lab}->({','.join(map(str, p.color))})")
             prev = p.labels
         return "{" + " | ".join(lines) + "}"
@@ -432,7 +433,7 @@ def reorient(pair, sites):
 
 
 # ---------------------------------------------------------------------------
-# positivity, twisting, a-degree
+# twisting, normalization, a-degree
 
 
 def lower_twist(pair):
@@ -451,47 +452,12 @@ def lower_twist(pair):
     return LinkPair(pair.first, ColoredForest(paths), True, None)
 
 
-def _positive(forest):
-    return all(r > 0 and s > 0 for p in forest.paths for r, s in p.labels)
-
-
-def _meridian(forest):
-    return all(p.labels in ((), ((1, 0),)) for p in forest.paths)
-
-
-def _head(forest):
-    for p in forest.paths:
-        if p.labels:
-            return p.labels[0]
-    return None
-
-
-def classify_positive(pair):
-    """positive_tree / positive_pair / generic (§4.3, §9.3)."""
-    if pair.twist is not None:
-        alpha, beta = pair.twist
-        trees = [f for f in pair.forests()]
-        if pair.vee and alpha > 0 and beta > 0 and all(map(_positive, trees)):
-            head = _head(pair.second) if pair.second else _head(pair.first)
-            if head is None or alpha * head[1] > beta * head[0]:
-                return "positive_pair"
-        return "generic"
-    if pair.second is None:
-        return "positive_tree" if _positive(pair.first) else "generic"
-    if pair.vee and _positive(pair.first) and \
-            (_meridian(pair.second) or _positive(pair.second)):
-        h1, h2 = _head(pair.first), _head(pair.second)
-        if _meridian(pair.second) or h1 is None or \
-                h1[1] * h2[1] > h1[0] * h2[0]:
-            return "positive_pair"
-    return "generic"
-
-
 def norm_diagram(pair, norm):
     """The diagram whose J-evaluation normalizes the pair.
 
     "min" takes the union of all colors, "none" the empty diagram and
-    ("j_o", idx) the color of the idx-th path (first tree, then second).
+    ("j_o", idx) the color of the idx-th path (first tree, then second),
+    for an int 0 <= idx < the number of paths.
     """
     colors = [p.color for f in pair.forests() for p in f.paths]
     if norm == "min":
@@ -500,31 +466,25 @@ def norm_diagram(pair, norm):
         return ()
     if isinstance(norm, tuple) and len(norm) == 2 and norm[0] == "j_o":
         idx = norm[1]
-        if isinstance(idx, int) and -len(colors) <= idx < len(colors):
+        if isinstance(idx, int) and not isinstance(idx, bool) and \
+                0 <= idx < len(colors):
             return colors[idx]
     raise ValueError(f"bad normalization {norm!r}")
 
 
 def deg_a_bound(pair, normalization="min"):
-    """a-degree bound (5.40) and, for positive vee-pairs and positive
-    trees, the conjectured exact value (5.41)."""
+    """The a-degree bound (5.40) of the superpolynomial."""
     pair = lower_twist(pair)
-    bound = exact = -sum(norm_diagram(pair, normalization))
+    bound = -sum(norm_diagram(pair, normalization))
     for f in pair.forests():
         for p in f.paths:
             boxes = sum(p.color)
-            tail = prod(abs(r) for r, _ in p.labels[1:])
             if p.labels:
-                r1, s1 = p.labels[0]
-                bound += max(1, abs(r1)) * tail * boxes
-                exact += max(1, min(abs(r1), abs(s1)) * tail) * boxes
+                tail = prod(abs(r) for r, _ in p.labels[1:])
+                bound += max(1, abs(p.labels[0][0])) * tail * boxes
             else:
                 bound += boxes
-                exact += boxes
-    cls = classify_positive(pair)
-    exact_ok = cls == "positive_pair" or \
-        (cls == "positive_tree" and pair.second is None)
-    return bound, (exact if exact_ok else None)
+    return bound
 
 
 # ---------------------------------------------------------------------------

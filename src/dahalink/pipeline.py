@@ -3,10 +3,15 @@
 Pre-polynomials via the tree recursion, fixed-rank polynomials, their
 a-stabilization, specializations (HOMFLY-PT, Alexander, Khovanov recipes)
 and the symmetry / positivity checkers.
+
+The a-stabilization adds one rank at a time to Newton's divided-difference
+table in a and stops at the first zero difference, so the a-degree is read
+off the result; the bound (5.40) only limits how far one window may grow.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 
 from . import weights as wt
 from .scalars import (
@@ -142,30 +147,21 @@ class SuperPoly:
     deg_a: int
 
 
-def _interpolate_a(vals, ranks):
-    """Laurent-coefficient interpolation at the nodes a = -t^{m+1}.
+def _interpolate_a(row, ranks, val):
+    """One Newton step in a: extend the divided-difference table by `val`,
+    the value at the node a = -t^{m+1} of the newest rank m = ranks[-1].
 
-    Newton divided differences; every division is by a binomial in t and
-    must be exact, otherwise the window does not stabilize.
+    `row` holds the differences f[x_{n-k}, ..., x_n], k = 0, 1, ..., of the
+    previous node; the new node's row is returned, and its last entry is the
+    next Newton coefficient.  Every division is by a binomial in t and must
+    be exact, otherwise the window does not stabilize.
     """
-    n = len(vals)
-    table = [dict(v) for v in vals]
-    newton = [table[0]]
-    for k in range(1, n):
-        nxt = []
-        for i in range(n - k):
-            num = psub(table[i + 1], table[i])
-            # x_{i+k} - x_i = t^{ranks[i]+1} - t^{ranks[i+k]+1}
-            den = {(0, ranks[i] + 1, 0): 1, (0, ranks[i + k] + 1, 0): -1}
-            nxt.append(pdivexact(num, den))
-        table = nxt
-        newton.append(table[0])
-    out = {}
-    basis = pone()
-    for k, c in enumerate(newton):
-        padd_into(out, pmul(c, basis))
-        # a - x_k = a + t^{ranks[k]+1}
-        basis = pmul(basis, {(0, 0, 1): 1, (0, ranks[k] + 1, 0): 1})
+    out = [val]
+    m = ranks[-1]
+    for k, prev in enumerate(row, start=1):
+        # x_n - x_{n-k} = t^{ranks[n-k]+1} - t^{m+1}
+        den = {(0, ranks[-1 - k] + 1, 0): 1, (0, m + 1, 0): -1}
+        out.append(pdivexact(psub(out[-1], prev), den))
     return out
 
 
@@ -175,33 +171,42 @@ def _at_rank(poly, m):
 
 
 def superpolynomial(pair, norm="min"):
+    """The polynomial in a whose value at a = -t^{m+1} is the rank-m value.
+
+    Ranks are added one at a time from the longest color's length, each
+    extending Newton's divided-difference table in a; the first zero
+    difference ends the window.  `ranks` are the nodes of the result, so its
+    a-degree is len(ranks) - 1, and `verified_rank` is the rank whose
+    difference was zero: the result already took its value there.  An
+    inexact division, or no zero difference within the a-degree bound
+    (5.40), moves the start up by one rank; ranks already evaluated are
+    reused.  After MAX_WINDOW_SHIFTS shifts it raises StabilizationFailed.
+    """
     low = lower_twist(pair)
-    bound, exact = deg_a_bound(pair, norm)
-    deg = exact if exact is not None else bound
+    bound = deg_a_bound(pair, norm)
     m0 = max([1] + [len(c) for c in _all_colors(low)])
-    for attempt in range(MAX_WINDOW_SHIFTS + 1):
-        ranks = list(range(m0, m0 + deg + 1))
-        vals = [jd(low, m, norm).poly for m in ranks]
-        try:
-            out = _interpolate_a(vals, ranks)
-        except InexactDivision:
-            out = None
-        if out is not None:
-            extra = m0 + deg + 1
-            check = jd(low, extra, norm).poly
-            if _at_rank(out, extra) == check:
+    vals = {}
+    for _ in range(MAX_WINDOW_SHIFTS + 1):
+        ranks, row, out, basis = [], [], {}, pone()
+        for m in range(m0, m0 + bound + 2):
+            if m not in vals:
+                vals[m] = jd(low, m, norm).poly
+            try:
+                row = _interpolate_a(row, ranks + [m], vals[m])
+            except InexactDivision:
+                break
+            if ranks and not row[-1]:
                 poly, shift = hat_normalize(out)
-                da = max((k[2] for k in poly), default=0)
-                if da > bound:
-                    raise StabilizationFailed(
-                        f"a-degree {da} exceeds the bound {bound}")
-                return SuperPoly(poly, shift, norm, tuple(ranks), extra,
-                                 pair, da)
-        if deg < bound:
-            deg = bound
-        else:
-            m0 += 1
-    raise StabilizationFailed(f"window retries exhausted for {pair}")
+                return SuperPoly(poly, shift, norm, tuple(ranks), m, pair,
+                                 len(ranks) - 1)
+            # Newton form: coefficient k times prod over ranks[:k] of a+t^{r+1}
+            padd_into(out, pmul(row[-1], basis))
+            basis = pmul(basis, {(0, 0, 1): 1, (0, m + 1, 0): 1})
+            ranks.append(m)
+        m0 += 1
+    raise StabilizationFailed(
+        f"no zero Newton difference within the a-degree bound {bound} "
+        f"after {MAX_WINDOW_SHIFTS} window shifts for {pair}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +238,8 @@ def hopf_vertex(diagrams, meridian=None, vee=True):
     dag = Scal(pmul(sup.poly, wt.pi_dagger(union).expand()))
     for lam in diagrams:
         dag = dag.div(wt.pi_dagger(lam))
-    top = max(k[2] for k in sup.poly)
-    lead = {(k[0], k[1], 0): c for k, c in sup.poly.items() if k[2] == top}
+    lead = {(k[0], k[1], 0): c for k, c in sup.poly.items()
+            if k[2] == sup.deg_a}
     c_num = hat_normalize(psubstitute(lead, t=(1, 1, 0, 0)))[0]
     return VertexValue(sup, dag, c_num)
 
@@ -294,10 +299,7 @@ def spec_alexander(sup):
     kappa = _kappa(sup.link)
     p = psubstitute(sup.poly, t=(1, 1, 0, 0), a=(-1, 0, 0, 0))
     power = kappa - (1 if kappa == 1 else 0)
-    den = pone()
-    for _ in range(power):
-        den = pmul(den, {(0, 0, 0): 1, (1, 0, 0): -1})
-    out = pdivexact(p, den)
+    out = pdivexact(p, ppow({(0, 0, 0): 1, (1, 0, 0): -1}, power))
     return hat_normalize(out)[0]
 
 
@@ -321,11 +323,8 @@ def spec_khovanov(sup, N, variant="A", cutoff=None):
         num = psubstitute(num, a=(1, N, 0, 0))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    den = pone()
-    for _ in range(kappa):
-        den = pmul(den, {(0, 0, 0): 1, (2, 0, 0): -1})
     try:
-        quo = pdivexact(num, den)
+        quo = pdivexact(num, ppow({(0, 0, 0): 1, (2, 0, 0): -1}, kappa))
     except InexactDivision:
         if cutoff is None:
             raise
@@ -335,7 +334,6 @@ def spec_khovanov(sup, N, variant="A", cutoff=None):
 
 def _series_q2(num, power, cutoff):
     """num / (1-q^2)^power as a q-truncated series."""
-    from math import comb
     geo = {(2 * i, 0, 0): comb(i + power - 1, power - 1)
            for i in range(cutoff // 2 + 1)}
     full = pmul(num, geo)

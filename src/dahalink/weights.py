@@ -93,19 +93,8 @@ def rho_eps(n):
     return tuple(range(n, -1, -1))
 
 
-def dominant(b):
-    return all(x >= 0 for x in b)
-
-
 # ---------------------------------------------------------------------------
 # permutations
-
-def perm_id(n1):
-    return tuple(range(n1))
-
-def perm_mul(w1, w2):
-    """(w1 w2)(i) = w1(w2(i))."""
-    return tuple(w1[w2[i]] for i in range(len(w1)))
 
 def perm_inv(w):
     out = [0] * len(w)
@@ -113,26 +102,11 @@ def perm_inv(w):
         out[x] = i
     return tuple(out)
 
-def perm_len(w):
-    n1 = len(w)
-    return sum(1 for i in range(n1) for j in range(i + 1, n1) if w[i] > w[j])
-
 def perm_act_eps(w, v):
     out = [0] * len(v)
     for i in range(len(v)):
         out[w[i]] = v[i]
     return tuple(out)
-
-def perm_act(w, b):
-    return from_eps(perm_act_eps(w, to_eps(b)))
-
-
-def simple_refl(n1, i):
-    """s_i swapping epsilon_i, epsilon_{i+1} (1 <= i <= n)."""
-    w = list(range(n1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
 
 def reduced_word(w):
     """Indices i_1..i_l with w = s_{i_1} ... s_{i_l}."""
@@ -148,10 +122,6 @@ def reduced_word(w):
             break
     word.reverse()
     return tuple(word)
-
-
-def longest_element(n1):
-    return tuple(range(n1 - 1, -1, -1))
 
 
 def u_perm(n1, r):
@@ -218,14 +188,6 @@ def sharp_point(b):
 # ---------------------------------------------------------------------------
 # Young diagrams
 
-def to_diagram(b):
-    """lambda(b) for dominant b; trailing zeros stripped."""
-    if not dominant(b):
-        raise ValueError("diagram of a non-dominant weight")
-    lam = [x for x in to_eps(b) if x > 0]
-    return tuple(lam)
-
-
 def to_weight(lam, n):
     if len(lam) > n:
         raise RankTooSmall(f"diagram {lam} needs rank >= {len(lam)}")
@@ -252,42 +214,6 @@ def arm_leg(lam):
     for r, row in enumerate(lam):
         for c in range(row):
             yield row - c - 1, lt[c] - r - 1
-
-
-# ---------------------------------------------------------------------------
-# Lambda_b^+ and the integrality factor
-
-def lambda_plus_set(b):
-    """Pairs ((l, m), j) indexing the evaluation product for E_b."""
-    n1 = len(b) + 1
-    b_plus, w, _ = sharp_point(b)
-    vplus = to_eps(b_plus)
-    winv = perm_inv(w)
-    out = []
-    for l in range(n1):
-        for m in range(l + 1, n1):
-            pv = vplus[l] - vplus[m]          # (b_+, alpha) for alpha=eps_lm
-            pos = winv[l] < winv[m]           # w^{-1}(alpha) positive?
-            top = pv - 1 if pos else pv
-            for j in range(1, top + 1):
-                out.append(((l + 1, m + 1), j))
-    return frozenset(out)
-
-
-def eval_products(b):
-    """(num, den) FactoredBinomials of the closed E_b(q^{-rho_k}) formula.
-
-    E_b(q^{-rho_k}) = t^{-(rho, b_+)} * num/den with
-    num = prod (1 - q^j t^{1+(alpha,rho)}), den = prod (1 - q^j t^{(alpha,rho)})
-    over Lambda_b^+.
-    """
-    num = FactoredBinomial.one()
-    den = FactoredBinomial.one()
-    for (l, m), j in lambda_plus_set(b):
-        p = m - l                              # (alpha, rho)
-        num = num.mul(binomial_fb(j, p + 1))
-        den = den.mul(binomial_fb(j, p))
-    return num, den
 
 
 def poincare(b):
@@ -317,33 +243,3 @@ def pi_dagger(lam):
             out = out.mul(FactoredBinomial(1, (0, 0, 0),
                                            (a_atom(v, 1 - p),)))
     return out
-
-
-def tilde_N(b):
-    """gcd(N_b, truncated N_inf/D_inf) as a factored multiset (type A)."""
-    n = len(b)
-    nb = Counter()
-    jmax = 0
-    for (l, m), j in lambda_plus_set(b):
-        p = m - l
-        nb.update(binomial_fb(j, p + 1).atoms)
-        jmax = max(jmax, j)
-    ratio = Counter()
-    for p in range(1, n + 1):                  # Coxeter exponents m_p = p
-        for j in range(1, jmax + 1):
-            ratio.update(binomial_fb(j, p + 1).atoms)
-    for j in range(1, jmax + 1):
-        den = Counter(binomial_fb(j, 1).atoms)
-        for atm, mult in den.items():
-            have = ratio.get(atm, 0)
-            ratio[atm] = max(0, have - mult * n)
-    g = Counter()
-    for atm, mult in nb.items():
-        m2 = min(mult, ratio.get(atm, 0))
-        if m2:
-            g[atm] = m2
-    sign = (-1) ** sum(m for atm, m in g.items() if atm[1] == 1)  # Phi_1(0) = -1
-    atoms = []
-    for atm, mult in g.items():
-        atoms.extend([atm] * mult)
-    return FactoredBinomial(sign, (0, 0, 0), atoms)

@@ -15,6 +15,7 @@ from dahalink.scalars import (Scal, FactoredBinomial, pmono, pone, pmul,
                               binomial_fb)
 from dahalink.daha import xp_one, xp_add_into, xp_scale, xp_mul
 from dahalink.macdonald import _rho_weight
+from weyl import eval_products
 
 
 def ratio_scal(num, den, t_shift):
@@ -26,7 +27,7 @@ def ratio_scal(num, den, t_shift):
 def E_eval(mac, b):
     """Closed-form E_b(q^{-rho_k}) as a Scal."""
     b_plus, _ = wt.sort_perm_maximal(b)
-    num, den = wt.eval_products(b)
+    num, den = eval_products(b)
     t_shift = -wt.pairing(b_plus, _rho_weight(mac.n))
     return ratio_scal(num, den, t_shift)
 

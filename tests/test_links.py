@@ -11,8 +11,9 @@ from dahalink.links import (
     NonCoprimeLabel, BadShareDepth, MoveNotApplicable,
     parse_dsl, to_dsl, to_json, cab_params, linking_number,
     drop_r0, contract_r1, transpose_first, mirror, reorient,
-    lower_twist, classify_positive, deg_a_bound, splice_export,
+    lower_twist, deg_a_bound, splice_export,
 )
+from degree import classify_positive, exact_deg_a
 
 
 TREFOIL = "{[3,2]->(1)}"
@@ -344,33 +345,34 @@ def test_lower_twist_empty_second():
 # a-degree
 
 def test_deg_a_two_fold_trefoil():
-    bound, exact = deg_a_bound(parse_dsl(TWO_TREFOIL), "min")
-    assert exact == 3                 # s(2|l|) - |l|
-    assert bound == 5
+    pair = parse_dsl(TWO_TREFOIL)
+    assert exact_deg_a(pair, "min") == 3          # s(2|l|) - |l|
+    assert deg_a_bound(pair, "min") == 5
 
 
 def test_deg_a_cable_link():
     pair = parse_dsl("{[1,1],[3,2]->(1) | ^1 [1,1],[2,1]->(1)}")
-    assert deg_a_bound(pair, "min") == (4, 4)
+    assert deg_a_bound(pair, "min") == exact_deg_a(pair, "min") == 4
 
 
 def test_deg_a_unknot():
-    assert deg_a_bound(parse_dsl("{()->(1)}"), "min") == (0, 0)
+    pair = parse_dsl("{()->(1)}")
+    assert deg_a_bound(pair, "min") == exact_deg_a(pair, "min") == 0
 
 
 def test_deg_a_normalizations():
     pair = parse_dsl("{[3,2]->(2) | ^1 [3,2]->(1,1)}")
-    b_min, _ = deg_a_bound(pair, "min")
-    b_jo, _ = deg_a_bound(pair, ("j_o", 1))
-    b_none, _ = deg_a_bound(pair, "none")
+    b_min = deg_a_bound(pair, "min")
+    b_jo = deg_a_bound(pair, ("j_o", 1))
+    b_none = deg_a_bound(pair, "none")
     assert b_none - b_min == 3        # |(2) v (1,1)| = |(2,1)|
     assert b_none - b_jo == 2
 
 
 def test_deg_a_nonpositive_no_claim():
     pair = parse_dsl("{[1,-1]->(1) | ^1 [1,-1]->(1)}")
-    bound, exact = deg_a_bound(pair, "min")
-    assert exact is None and bound == 1
+    assert exact_deg_a(pair, "min") is None
+    assert deg_a_bound(pair, "min") == 1
 
 
 # ---------------------------------------------------------------------------

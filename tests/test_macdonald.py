@@ -18,6 +18,7 @@ from dahalink.daha import (get_rep, xp_one, xp_mono, xp_add, xp_add_into,
 from dahalink.macdonald import (Mac, get_mac, span_weights, NonTerminating,
                                 NotMonic, _rho_weight)
 from factoring import factored, scal_inv
+import weyl
 from norms import (E_eval, P_spherical, norm_spherical, norm_stable,
                    ratio_scal, mu_inner_truncated, star_scal, star_xpoly)
 
@@ -50,7 +51,7 @@ def _order_key(c):
     for x in v:
         s += x
         partial.append(s)
-    return (tuple(partial), wt.perm_len(w), wt.to_eps(c))
+    return (tuple(partial), weyl.perm_len(w), wt.to_eps(c))
 
 
 def expand_in_E(mac, f):
@@ -284,7 +285,7 @@ def test_J_integral(n, lam):
 def test_tilde_N_E_integrality(n, b):
     """tilde_N * E-spherical has polynomial coefficients."""
     m = get_mac(n)
-    Nb = Scal(wt.tilde_N(b).expand())
+    Nb = Scal(weyl.tilde_N(b).expand())
     f = xp_scale(m.E(b), scal_inv(E_eval(m, b)))
     assert int_coeffs(xp_scale(f, Nb))
 
@@ -298,8 +299,8 @@ def test_tilde_N_P_integrality(n, b):
     the Poincare polynomial; the remaining denominators are q-free.
     """
     m = get_mac(n)
-    lam = wt.to_diagram(b)
-    Nb = Scal(wt.tilde_N(b).expand())
+    lam = weyl.to_diagram(b)
+    Nb = Scal(weyl.tilde_N(b).expand())
     f = xp_scale(P_spherical(m, lam), Nb)
     for c in f.values():
         assert all(eq == 0 for _, _, eq, _ in c.den)
@@ -434,7 +435,7 @@ def test_norm_spherical_closed_rank1():
 def E_norm_from_lambda_plus(b):
     num = FactoredBinomial.one()
     den = FactoredBinomial.one()
-    for (l, mm), j in wt.lambda_plus_set(b):
+    for (l, mm), j in weyl.lambda_plus_set(b):
         p = mm - l
         num = num.mul(binomial_fb(j, p - 1)).mul(binomial_fb(j, p + 1))
         den = den.mul(binomial_fb(j, p)).mul(binomial_fb(j, p))

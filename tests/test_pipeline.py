@@ -10,7 +10,7 @@ import pytest
 
 from dahalink.links import (
     Path, ColoredForest, LinkPair, parse_dsl, lower_twist, cab_params,
-    norm_diagram,
+    norm_diagram, deg_a_bound,
 )
 from dahalink.scalars import (
     Scal, InexactDivision, poly_parse, poly_text, pmul, ppow, pdivexact,
@@ -20,6 +20,7 @@ import dahalink
 from dahalink import pipeline as pl
 from dahalink.cli import main
 from dahalink.daha import get_rep, gamma_hat_project, word_of_rs
+from degree import exact_deg_a
 
 
 TREFOIL = "{[3,2]->(1)}"
@@ -31,6 +32,8 @@ T32_MERIDIAN = "{[3,2]->(1)} ; {[1,0]->(1)}"
 T32_MERIDIAN_V = "{[3,2]->(1)} ; vee {[1,0]->(1)}"
 CABLE_32_11 = "{[1,1],[2,1]->(1) | ^1 [1,1]->(1)}"
 TWIST_11 = "twist [1,1] {[1,0]->(1)} ; vee {[2,1]->(1)}"
+HOPF_TRIPLE = "{[1,-1]->(1) | [1,-1]->(1) | ^1 [1,-1]->(1)}"
+POSITIVE_HOPF_TRIPLE = "{[1,1]->(1) | [1,1]->(1) | [1,1]->(1)}"
 
 
 from functools import lru_cache
@@ -203,7 +206,7 @@ def test_hopf_dagger_unknot():
 
 
 def test_hopf_triple_uncolored():
-    s = sup("{[1,-1]->(1) | [1,-1]->(1) | ^1 [1,-1]->(1)}")
+    s = sup(HOPF_TRIPLE)
     # the window starting at rank 1 gives an inexact Newton step
     assert s.ranks == (2, 3, 4)
     assert s.poly == poly_parse(
@@ -214,7 +217,7 @@ def test_hopf_triple_uncolored():
 
 
 def test_positive_hopf_triple_window_starts_at_rank_1():
-    assert sup("{[1,1]->(1) | [1,1]->(1) | [1,1]->(1)}").ranks == (1, 2, 3)
+    assert sup(POSITIVE_HOPF_TRIPLE).ranks == (1, 2, 3)
 
 
 def test_hopf_pair_with_vee_meridian():
@@ -338,7 +341,8 @@ def test_lift_independence():
         assert rep["lifts"]["ok"]
 
 
-@pytest.mark.parametrize("norm", ["max", ("j_o", 2), ("j_o", "0"), ("x", 0)])
+@pytest.mark.parametrize("norm", ["max", ("j_o", 2), ("j_o", "0"), ("x", 0),
+                                  ("j_o", -1), ("j_o", True)])
 def test_bad_normalization_fails_before_any_rank(norm, monkeypatch):
     def no_rank(*args):
         raise AssertionError("a rank was evaluated")
@@ -410,13 +414,53 @@ def test_positivity_margin_ignores_truncated_tail():
 
 
 def test_deg_a_bound_respected():
-    for dsl in (TREFOIL, T22, T42, T32_MERIDIAN, CABLE_32_11):
-        s = sup(dsl)
-        from dahalink.links import deg_a_bound
-        bound, exact = deg_a_bound(lower_twist(parse_dsl(dsl)), "min")
-        assert s.deg_a <= bound
+    """(5.40) bounds the a-degree; the conjectured (5.41) is exact where the
+    paper claims it."""
+    for dsl in sorted(GOLDEN) + [TWIST_11, HOPF_TRIPLE, POSITIVE_HOPF_TRIPLE]:
+        s, pair = sup(dsl), parse_dsl(dsl)
+        assert s.deg_a == max(k[2] for k in s.poly) == len(s.ranks) - 1
+        assert s.deg_a <= deg_a_bound(pair, "min"), dsl
+        exact = exact_deg_a(pair, "min")
         if exact is not None:
-            assert s.deg_a == exact
+            assert s.deg_a == exact, dsl
+
+
+@pytest.mark.parametrize("dsl,ranks,poly", [
+    # generic links whose bound (5.40) exceeds their a-degree
+    ("{[3,-2]->(1)}", (1, 2), "1 + a*t^-1 + a*q"),
+    (T32_MERIDIAN, (1, 2, 3), GOLDEN[T32_MERIDIAN]),
+], ids=["mirror_trefoil", "trefoil_meridian"])
+def test_window_ends_at_the_first_zero_difference(dsl, ranks, poly):
+    s = sup(dsl)
+    assert s.poly == poly_parse(poly)
+    assert s.ranks == ranks and s.verified_rank == ranks[-1] + 1
+
+
+def test_window_shift_reuses_ranks(monkeypatch):
+    """Ranks 1-3 divide inexactly; the shifted window reuses 2 and 3."""
+    calls, jd = [], pl.jd
+
+    def counted(pair, rank, *args, **kwargs):
+        calls.append(rank)
+        return jd(pair, rank, *args, **kwargs)
+    monkeypatch.setattr(pl, "jd", counted)
+    s = pl.superpolynomial(parse_dsl(HOPF_TRIPLE))
+    assert s.ranks == (2, 3, 4) and s.verified_rank == 5
+    assert calls == [1, 2, 3, 4, 5]
+
+
+def test_no_zero_difference_exhausts_the_shifts(monkeypatch):
+    """Values t^{m^2} lie on no polynomial in a, so every window runs past
+    the bound or divides inexactly; each rank is still evaluated once."""
+    calls = []
+
+    def planted(pair, rank, norm="min"):
+        calls.append(rank)
+        return SimpleNamespace(poly={(0, rank * rank, 0): 1})
+    monkeypatch.setattr(pl, "jd", planted)
+    with pytest.raises(pl.StabilizationFailed):
+        pl.superpolynomial(parse_dsl(TREFOIL))
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_stabilization_window_recorded():

@@ -11,13 +11,12 @@ from dahalink.scalars import FactoredBinomial, poly_parse, pmul, Scal
 from dahalink.weights import (
     RankMismatch, RankTooSmall,
     to_eps, from_eps, fundamental, zero, wt_add, wt_neg, theta, alpha,
-    pairing, norm2, rho_eps, dominant,
-    perm_id, perm_mul, perm_inv, perm_len, perm_act, simple_refl,
-    reduced_word, longest_element, u_perm, sort_perm_maximal,
-    EvalPoint, minus_rho_k, sharp_point,
-    to_diagram, to_weight, transpose, diagram_union,
-    arm_leg, lambda_plus_set, eval_products, h_lambda, pi_dagger, tilde_N,
+    pairing, norm2, rho_eps, perm_inv, reduced_word, u_perm,
+    sort_perm_maximal, EvalPoint, minus_rho_k, sharp_point,
+    to_weight, transpose, diagram_union, arm_leg, h_lambda, pi_dagger,
 )
+from weyl import (dominant, perm_id, perm_mul, perm_len, perm_act,
+                  longest_element, to_diagram, lambda_plus_set, tilde_N)
 
 
 small_weights = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 2)
