@@ -7,9 +7,9 @@ Scal coefficients.  Operators act through Atom sequences:
     ('P', r, s)   pi_r^s, 1 <= r <= n
     ('X', b)      multiplication by X_b
 
-An HWord is a list of (Scal coefficient, tuple of atoms); the leftmost atom
-is applied last.  tau-words act through per-atom image tables built from the
-generator images
+The image of an atom under a tau-word is one q-power times one atom word,
+a pair (eq, atoms) standing for q^eq atoms; the leftmost atom is applied
+last.  The images are composed from the generator images
 
     tau_+ : X fixed, T_{i>0} fixed, T_0 -> q^-1 X_theta T_0^-1,
             pi_r -> q^{-(w_r,w_r)/2} X_r pi_r
@@ -126,6 +126,9 @@ class Rep:
                                  for r in range(1, n + 1)]
         self._img_memo = {}
         self.t_half = Scal.mono(et=HALF)
+        # the fundamental steps Y_{+-omega_r} for `apply_weights`
+        self.y_steps = {(r, s): (0, self.y_atoms(r, s))
+                        for r in range(1, self.n1) for s in (1, -1)}
 
     # -- generator actions -----------------------------------------------
 
@@ -201,12 +204,6 @@ class Rep:
             f = self.apply_atom(atom, f)
         return f
 
-    def apply_hword(self, hword, f):
-        out = {}
-        for coeff, atoms in hword:
-            xp_add_into(out, self.apply_atoms(atoms, f), coeff)
-        return out
-
     # -- Y operators -----------------------------------------------------
 
     def y_atoms(self, r, sign=1):
@@ -216,12 +213,7 @@ class Rep:
         return tuple(('T', i, -1) for i in reversed(word)) + (('P', r, -1),)
 
     def y_op(self, b, f):
-        for r in range(1, self.n1):
-            l = b[r - 1]
-            s = 1 if l > 0 else -1
-            for _ in range(abs(l)):
-                f = self.apply_atoms(self.y_atoms(r, s), f)
-        return f
+        return apply_weights(self, {tuple(b): Scal.one()}, self.y_steps, f)
 
     # -- coinvariant -----------------------------------------------------
 
@@ -231,59 +223,54 @@ class Rep:
     # -- tau-letter images -----------------------------------------------
 
     def _img_letter(self, letter, atom):
-        """Image of a single atom under one tau letter, as an HWord."""
+        """Image of a single atom under one tau letter, as (eq, atoms)."""
         kind, sgn = letter          # kind in {'+', '-'}
         a0 = atom[0]
-        one = Scal.one()
         if a0 == 'T' and atom[1] != 0:
-            return [(one, (atom,))]
+            return 0, (atom,)
         if kind == '-':
             if a0 in ('T', 'P'):
-                return [(one, (atom,))]
+                return 0, (atom,)
             b = atom[1]
             # factor X_b through the fundamental images:
             #   tau_-^sgn(X_r) = q^{sgn c} Y_r^sgn X_r,  c = (w_r, w_r)/2,
             # and the formal inverse for negative exponents
-            coeff = one
-            atoms = ()
+            eq, atoms = 0, ()
             for r in range(1, self.n1):
                 l = b[r - 1]
                 if not l:
                     continue
-                s = 1 if l > 0 else -1
-                c2 = Scal.mono(eq=_ex(s * sgn * self._omega2[r] * HALF))
-                if s == 1:
+                eq += sgn * l * self._omega2[r] * HALF
+                if l > 0:
                     seq = self.y_atoms(r, sgn) + (('X', self.omegas[r]),)
                 else:
                     seq = ((('X', wt.wt_neg(self.omegas[r])),)
                            + self.y_atoms(r, -sgn))
-                for _ in range(abs(l)):
-                    coeff = coeff.mul(c2)
-                    atoms = atoms + seq
-            return [(coeff, atoms)]
+                atoms += seq * abs(l)
+            return _ex(eq), atoms
         # tau_+ letters
         if a0 == 'X':
-            return [(one, (atom,))]
+            return 0, (atom,)
         if a0 == 'T':            # T_0
             th, mth = self.theta, self.mtheta
             if sgn == 1:
                 if atom[2] == 1:   # T_0 -> q^-1 X_theta T_0^-1
-                    return [(Scal.mono(eq=-1), (('X', th), ('T', 0, -1)))]
-                return [(Scal.mono(eq=1), (('T', 0, 1), ('X', mth)))]
+                    return -1, (('X', th), ('T', 0, -1))
+                return 1, (('T', 0, 1), ('X', mth))
             if atom[2] == 1:       # tau_+^-1: T_0 -> q^-1 T_0^-1 X_theta
-                return [(Scal.mono(eq=-1), (('T', 0, -1), ('X', th)))]
-            return [(Scal.mono(eq=1), (('X', mth), ('T', 0, 1)))]
+                return -1, (('T', 0, -1), ('X', th))
+            return 1, (('X', mth), ('T', 0, 1))
         # pi_r
         r, s = atom[1], atom[2]
         c = _ex(self._omega2[r] * HALF)
         om, mom = self.omegas[r], wt.wt_neg(self.omegas[r])
         if sgn == 1:
             if s == 1:      # tau_+(pi_r) = q^-c X_r pi_r
-                return [(Scal.mono(eq=-c), (('X', om), ('P', r, 1)))]
-            return [(Scal.mono(eq=c), (('P', r, -1), ('X', mom)))]
+                return -c, (('X', om), ('P', r, 1))
+            return c, (('P', r, -1), ('X', mom))
         if s == 1:          # tau_+^-1(pi_r) = q^c X_r^-1 pi_r
-            return [(Scal.mono(eq=c), (('X', mom), ('P', r, 1)))]
-        return [(Scal.mono(eq=-c), (('P', r, -1), ('X', om)))]
+            return c, (('X', mom), ('P', r, 1))
+        return -c, (('P', r, -1), ('X', om))
 
     def image_atom(self, word, atom):
         """Image of one atom under a tau-word (rightmost letter first)."""
@@ -294,18 +281,15 @@ class Rep:
         if hit is not None:
             return hit
         if not word:
-            out = [(Scal.one(), (atom,))]
+            out = (0, (atom,))
         else:
-            inner = self._img_letter(word[-1], atom)
-            rest = word[:-1]
-            out = []
-            for coeff, atoms in inner:
-                term = [(coeff, ())]
-                for a in atoms:
-                    img = self.image_atom(rest, a)
-                    term = [(c1.mul(c2), s1 + s2)
-                            for c1, s1 in term for c2, s2 in img]
-                out.extend(term)
+            eq, inner = self._img_letter(word[-1], atom)
+            atoms = ()
+            for a in inner:
+                e, seq = self.image_atom(word[:-1], a)
+                eq += e
+                atoms += seq
+            out = (_ex(eq), atoms)
         memo[key] = out
         return out
 
@@ -397,11 +381,27 @@ def gamma_hat_project(word, Q, rep):
 def _core_project(word, Q, rep):
     if not word:
         return dict(Q)
-    imgs = {}
+    steps = {}
     for r in range(1, rep.n1):
-        imgs[(r, 1)] = rep.image_atom(word, ('X', rep.omegas[r]))
-        imgs[(r, -1)] = rep.image_atom(word, ('X', wt.wt_neg(rep.omegas[r])))
-    memo = {wt.zero(rep.n): xp_one(rep.n)}
+        om = rep.omegas[r]
+        steps[(r, 1)] = rep.image_atom(word, ('X', om))
+        steps[(r, -1)] = rep.image_atom(word, ('X', wt.wt_neg(om)))
+    return apply_weights(rep, Q, steps, xp_one(rep.n))
+
+
+# ---------------------------------------------------------------------------
+# polynomials in commuting operators
+
+def apply_weights(rep, f, steps, g):
+    """The sum over b of f_b O_b g, for commuting operators O_b with
+    O_{b+c} = O_b O_c.
+
+    steps[(r, s)] = (eq, atoms) gives the fundamental step O_{s omega_r} =
+    q^eq atoms.  The atom part of O_b g is built one step from that of a
+    shorter weight (the first nonzero coordinate of b steps last) and
+    memoized; the q-powers add up along the way and scale f_b alone.
+    """
+    memo = {wt.zero(rep.n): (0, g)}
 
     def value(b):
         hit = memo.get(b)
@@ -411,11 +411,13 @@ def _core_project(word, Q, rep):
         s = 1 if b[r - 1] > 0 else -1
         prev = list(b)
         prev[r - 1] -= s
-        f = rep.apply_hword(imgs[(r, s)], value(tuple(prev)))
-        memo[b] = f
-        return f
+        e, v = value(tuple(prev))
+        eq, atoms = steps[(r, s)]
+        out = memo[b] = (_ex(e + eq), rep.apply_atoms(atoms, v))
+        return out
 
     out = {}
-    for b, c in Q.items():
-        xp_add_into(out, value(b), c)
+    for b, c in f.items():
+        e, v = value(b)
+        xp_add_into(out, v, c.scale(1, (e, 0, 0)) if e else c)
     return out

@@ -316,11 +316,23 @@ def _edit(pair, comp, forest):
     return replace(pair, second=forest)
 
 
+def _path_site(pair, site):
+    """The (comp, j) of a path given as j, (j,) or (comp, j)."""
+    site = tuple(site) if isinstance(site, (tuple, list)) else (site,)
+    if len(site) == 1:
+        site = (0,) + site
+    forests = pair.forests()
+    if len(site) != 2 or site[0] not in range(len(forests)) or \
+            site[1] not in range(len(forests[site[0]].paths)):
+        raise MoveNotApplicable(f"no path at {site}")
+    return site
+
+
 def _site(pair, site):
-    comp, j, i = site if len(site) == 3 else (0,) + tuple(site)
+    *path, i = site
+    comp, j = _path_site(pair, path)
     forest = pair.forests()[comp]
-    if not 0 <= j < len(forest.paths) or \
-            not 1 <= i <= len(forest.paths[j].labels):
+    if i not in range(1, len(forest.paths[j].labels) + 1):
         raise MoveNotApplicable(f"no vertex at {site}")
     return comp, forest, j, i
 
@@ -373,7 +385,7 @@ def contract_r1(pair, site):
 
 def transpose_first(pair, site=(0, 0)):
     """Swap [r1,s1] at the initial vertex of the subtree of a path (4.6)."""
-    comp, j = site
+    comp, j = _path_site(pair, site)
     forest = pair.forests()[comp]
     if not forest.paths[j].labels:
         raise MoveNotApplicable("pure arrowhead")
@@ -402,9 +414,7 @@ def mirror(pair):
 def reorient(pair, sites):
     """Reverse the selected components: negate [r,s] at the last vertex of
     each selected path (4.9 with i = l, a single orientation change)."""
-    sites = {s if len(s) == 2 else (0, s[0]) for s in
-             (tuple(s) if isinstance(s, (tuple, list)) else (s,)
-              for s in sites)}
+    sites = {_path_site(pair, s) for s in sites}
     forests = list(pair.forests())
     done = set()
     for comp, j in sorted(sites):

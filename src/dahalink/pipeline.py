@@ -21,8 +21,8 @@ from .scalars import (
 )
 from .weights import RankTooSmall
 from .daha import (
-    get_rep, xp_one, xp_mul, xp_add_into, xp_eq, word_of_rs,
-    gamma_hat_project, _core_project,
+    get_rep, xp_one, xp_mul, xp_eq, word_of_rs, gamma_hat_project,
+    _core_project, apply_weights,
 )
 from .macdonald import get_mac
 from .links import (
@@ -87,12 +87,10 @@ def _all_colors(pair):
 
 
 def _apply_fY(rep, f, g, sign=1):
-    """f(Y^{-sign}) applied to g, monomial by monomial through Y-operators."""
-    out = {}
-    for b, c in f.items():
-        bb = wt.wt_neg(b) if sign == 1 else b
-        xp_add_into(out, rep.y_op(bb, g), c)
-    return out
+    """f(Y^{-sign}) applied to g, one fundamental Y-step at a time."""
+    if sign == 1:
+        f = {wt.wt_neg(b): c for b, c in f.items()}
+    return apply_weights(rep, f, rep.y_steps, g)
 
 
 def _div_j_eval(val, rank, lam):

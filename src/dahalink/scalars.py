@@ -181,13 +181,13 @@ def pdivides(num, den):
         return None
 
 
-def psubstitute(p, q=None, t=None, a=None, strict=False):
+def psubstitute(p, q=None, t=None, a=None):
     """Substitute monomials-with-sign for the variables.
 
     Each of q, t, a may be None (identity) or a tuple (c, eq, et, ea) meaning
     the variable maps to c * q^eq * t^et * a^ea with c a rational scalar
-    (commonly +-1).  Raises FractionalResidue in strict mode if any resulting
-    exponent is fractional.
+    (commonly +-1).  Raises FractionalResidue if a sign is raised to a
+    fractional power or a resulting a-exponent is fractional.
     """
     subs = (q, t, a)
     if subs == (None, None, None):
@@ -210,9 +210,6 @@ def psubstitute(p, q=None, t=None, a=None, strict=False):
         if coeff == 0:
             continue
         kk = (_ex(parts[0]), _ex(parts[1]), parts[2])
-        if strict and not (type(kk[0]) is int and type(kk[1]) is int
-                           and type(kk[2]) is int):
-            raise FractionalResidue(f"fractional exponent {kk}")
         if type(kk[2]) is not int:
             raise FractionalResidue(f"fractional a-exponent {kk}")
         v = _co(out.get(kk, 0) + coeff)

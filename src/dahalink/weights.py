@@ -159,16 +159,8 @@ class EvalPoint:
 
     def exponents(self, b):
         """(q-exponent, t-exponent) of the value of X_b."""
-        v = to_eps(b)
-        n1 = len(v)
-        if len(self.beta) != n1:
-            raise RankMismatch
-        sv = sum(v)
-        eq = Fraction(sum(x * y for x, y in zip(v, self.beta)) * n1
-                      - sv * sum(self.beta), n1)
-        et = Fraction(sum(x * y for x, y in zip(v, self.kappa)) * n1
-                      - sv * sum(self.kappa), n1)
-        return _ex(eq), _ex(et)
+        return (pairing(b, from_eps(self.beta)),
+                pairing(b, from_eps(self.kappa)))
 
 
 def minus_rho_k(n):

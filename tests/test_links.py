@@ -243,6 +243,22 @@ def test_move_not_applicable():
         transpose_first(parse_dsl("{()->(1)}"), (0, 0))
 
 
+@pytest.mark.parametrize("move,site", [
+    (reorient, [(1, 0, 1)]),        # a vertex site is not a path site
+    (reorient, [5]),
+    (reorient, [(2, 0)]),
+    (transpose_first, (0, 3)),
+    (transpose_first, (2, 0)),
+    (transpose_first, (0, 0, 1)),
+    (drop_r0, (2, 0, 1)),
+    (contract_r1, (0, 3, 1)),
+])
+def test_moves_reject_missing_sites(move, site):
+    pair = parse_dsl("{[3,2]->(1) | [2,1]->(1)} ; vee {[2,1]->(1)}")
+    with pytest.raises(MoveNotApplicable):
+        move(pair, site)
+
+
 def _all_linking(forest):
     n = len(forest.paths)
     return [linking_number(forest, j, k)

@@ -19,7 +19,9 @@ from dahalink.scalars import (
 import dahalink
 from dahalink import pipeline as pl
 from dahalink.cli import main
-from dahalink.daha import get_rep, gamma_hat_project, word_of_rs
+from dahalink.daha import (
+    get_rep, gamma_hat_project, word_of_rs, xp_add_into, xp_eq,
+)
 from degree import exact_deg_a
 
 
@@ -120,6 +122,37 @@ def _jd_nested(pair, rank, norm="min"):
     g = gamma_hat_project(word_of_rs(beta, alpha), g, rep)
     f = pl._apply_fY(rep, g, f, sign=-1)
     return pl._div_j_eval(rep.coinvariant(f), rank, norm_diagram(low, norm))
+
+
+def _apply_fY_per_monomial(rep, f, g, sign=1):
+    """f(Y^{-sign}) applied to g, each monomial's Y_{-sign b} walked alone
+    along the fundamental Y-steps: the reference for `_apply_fY`, which
+    shares the steps between monomials."""
+    out = {}
+    for b, c in f.items():
+        v = g
+        for r, l in enumerate(b, start=1):
+            for _ in range(abs(l)):
+                v = rep.apply_atoms(rep.y_atoms(r, sign if l < 0 else -sign),
+                                    v)
+        xp_add_into(out, v, c)
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dsl,ranks", [
+    (THREE_CHAIN, (1, 2, 3)),
+    (TWIST_11, (1, 2, 3)),
+    ("{[1,0]->(1,1)} ; vee {[1,0]->(1)}", (2, 3)),
+], ids=["chain3", "twist11", "colored"])
+def test_apply_fY_matches_the_per_monomial_route(dsl, ranks, sign):
+    pair = lower_twist(parse_dsl(dsl))
+    for m in ranks:
+        rep = get_rep(m)
+        f = pl.pre_polynomial(pair.second, m)
+        g = pl.pre_polynomial(pair.first, m)
+        assert xp_eq(pl._apply_fY(rep, f, g, sign),
+                     _apply_fY_per_monomial(rep, f, g, sign)), m
 
 
 def test_twist_nested_route_agrees():

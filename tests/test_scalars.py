@@ -309,9 +309,10 @@ def test_substitute_identity():
 
 
 def test_substitute_fractional_residue():
+    # q^{1/2} with q -> a leaves a^{1/2}
     p = pmono(Fraction(1, 2))
     with pytest.raises(FractionalResidue):
-        psubstitute(p, q=(1, 1, 0, 0), strict=True)
+        psubstitute(p, q=(1, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
