@@ -1,15 +1,23 @@
 """The polynomial representation of the double affine Hecke algebra of A_n.
 
 An XPoly is a dict mapping weight keys (fundamental-coordinate tuples) to
-Scal coefficients.  Operators act through Atom sequences:
+lattice polys: dicts {(iq, it): int} standing for the sum of the terms
+c q^{iq/L} t^{it/L}, where L = 2(n+1) is the rank's unit.  Every exponent
+the operators below produce lies on that lattice (the pairing of two
+weights has denominator n+1, and T_i brings t^{+-1/2}), and no coefficient
+has a denominator, so the operators never meet a Fraction or a Scal.
+`Rep.to_lattice` / `Rep.xp_to_lattice` and `Rep.from_lattice` are the seams
+to the rational-key polys of `scalars`; off-lattice input raises OffLattice.
+
+Operators act through Atom sequences:
 
     ('T', i, s)   T_i^s, 0 <= i <= n, s = +-1
     ('P', r, s)   pi_r^s, 1 <= r <= n
     ('X', b)      multiplication by X_b
 
 The image of an atom under a tau-word is one q-power times one atom word,
-a pair (eq, atoms) standing for q^eq atoms; the leftmost atom is applied
-last.  The images are composed from the generator images
+a pair (eq, atoms) standing for q^{eq/L} atoms; the leftmost atom is
+applied last.  The images are composed from the generator images
 
     tau_+ : X fixed, T_{i>0} fixed, T_0 -> q^-1 X_theta T_0^-1,
             pi_r -> q^{-(w_r,w_r)/2} X_r pi_r
@@ -25,83 +33,86 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scal, _ex
+from .scalars import _ex
 from . import weights as wt
 
 
-HALF = Fraction(1, 2)
-T_HALF = (0, HALF, 0)
-T_MHALF = (0, -HALF, 0)
+class OffLattice(ValueError):
+    """A coefficient with a denominator, or an exponent off the lattice of
+    the rank's unit 1/(2(n+1)), where the operators need a lattice poly."""
 
 
 # ---------------------------------------------------------------------------
-# XPoly helpers
+# lattice polys and XPolys
 
-def xp_one(n):
-    return {wt.zero(n): Scal.one()}
+def lp_shift(p, dq=0, dt=0, s=1):
+    """s q^dq t^dt p (lattice units) as a new lattice poly."""
+    if dq or dt:
+        return {(iq + dq, it + dt): s * c for (iq, it), c in p.items()}
+    if s == 1:
+        return dict(p)
+    return {k: s * c for k, c in p.items()}
 
-def xp_mono(b, coeff=None):
-    return {tuple(b): coeff if coeff is not None else Scal.one()}
-
-def xp_add_into(acc, f, scale=None):
-    for b, c in f.items():
-        v = c if scale is None else c.mul(scale)
-        cur = acc.get(b)
-        s = v if cur is None else cur.add(v)
-        if s.is_zero():
-            acc.pop(b, None)
+def lp_add_into(acc, p, s=1, dq=0, dt=0):
+    """acc += s q^dq t^dt p in place (lattice units); zeros are dropped."""
+    if dq or dt:
+        p = lp_shift(p, dq, dt)
+    get = acc.get
+    for k, c in p.items():
+        v = get(k, 0) + s * c
+        if v:
+            acc[k] = v
         else:
-            acc[b] = s
+            del acc[k]
     return acc
 
-def xp_add(f, g):
-    return xp_add_into(dict(f), g)
+def lp_mul(p1, p2):
+    acc = {}
+    for (q1, t1), c1 in p1.items():
+        for (q2, t2), c2 in p2.items():
+            k = (q1 + q2, t1 + t2)
+            v = acc.get(k, 0) + c1 * c2
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return acc
 
-def xp_scale(f, scal):
-    if scal.is_zero():
-        return {}
-    return {b: c.mul(scal) for b, c in f.items()}
+def xp_one(n):
+    return {wt.zero(n): {(0, 0): 1}}
+
+def xp_mono(b):
+    return {tuple(b): {(0, 0): 1}}
+
+def xp_add_into(acc, f, scale=None):
+    """acc += scale * f in place.  acc owns its coefficient dicts: a new
+    key gets a copy, so f is never changed."""
+    for b, c in f.items():
+        v = dict(c) if scale is None else lp_mul(c, scale)
+        cur = acc.get(b)
+        if cur is None:
+            if v:
+                acc[b] = v
+        elif not lp_add_into(cur, v):
+            del acc[b]
+    return acc
 
 def xp_mul(f, g):
     acc = {}
     for b1, c1 in f.items():
         for b2, c2 in g.items():
-            b = wt.wt_add(b1, b2)
-            v = c1.mul(c2)
-            cur = acc.get(b)
-            s = v if cur is None else cur.add(v)
-            if s.is_zero():
-                acc.pop(b, None)
-            else:
-                acc[b] = s
+            xp_add_into(acc, {wt.wt_add(b1, b2): c1}, c2)
     return acc
+
 
 def _add_term(acc, b, w, j, c, s, cq):
-    """acc += s q^{cq j} c X_{b + j w}."""
+    """acc += s q^{cq j} c X_{b + j w}, in lattice units."""
     k = tuple(x + j * y for x, y in zip(b, w)) if j else b
-    v = c.scale(s, (cq * j, 0, 0)) if s != 1 or cq * j else c
     cur = acc.get(k)
-    if cur is not None:
-        v = cur.add(v)
-        if v.is_zero():
-            del acc[k]
-            return
-    acc[k] = v
-
-def xp_eq(f, g):
-    zero = Scal.zero()
-    for b in set(f) | set(g):
-        if not f.get(b, zero).sub(g.get(b, zero)).is_zero():
-            return False
-    return True
-
-def xp_eval(f, point):
-    """Evaluate at an EvalPoint; returns Scal."""
-    acc = Scal.zero()
-    for b, c in f.items():
-        eq, et = point.exponents(b)
-        acc = acc.add(c.scale(1, (eq, et, 0)))
-    return acc
+    if cur is None:
+        acc[k] = lp_shift(c, cq * j, 0, s)
+    elif not lp_add_into(cur, c, s, cq * j):
+        del acc[k]
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +123,59 @@ class Rep:
     def __init__(self, n):
         self.n = n
         self.n1 = n + 1
+        self.L = 2 * self.n1
+        self.half = self.n1                 # t^{1/2} in lattice units
         self.theta = wt.theta(n)
         self.mtheta = wt.wt_neg(self.theta)
         self.omegas = [None] + [wt.fundamental(n, i) for i in range(1, n + 1)]
         self.alphas = [None] + [wt.alpha(n, i) for i in range(1, n + 1)]
-        self.rho_pt = wt.minus_rho_k(n)
+        # L (w_k, w_j) = 2((n+1) min(k, j) - k j), so L (w_k, b) is the dot
+        # product of row k with b's fundamental coordinates
+        self._gram = [None] + [
+            tuple(2 * (self.n1 * min(k, j) - k * j) for j in range(1, n + 1))
+            for k in range(1, n + 1)]
+        self._rho_row = tuple(map(sum, zip(*self._gram[1:])))
         # pi_r permutes keys through the Weyl part u_r of omega_r
         self._uinv = [None] + [wt.perm_inv(wt.u_perm(self.n1, r))
                                for r in range(1, n + 1)]
         self._uword = [None] + [wt.reduced_word(wt.u_perm(self.n1, r))
                                 for r in range(1, n + 1)]
-        self._omega2 = [None] + [wt.norm2(self.omegas[r])
-                                 for r in range(1, n + 1)]
+        # L (w_r, w_r)/2 = r (n+1-r): the q-power of the tau-images
+        self._c = [None] + [r * (self.n1 - r) for r in range(1, n + 1)]
         self._img_memo = {}
-        self.t_half = Scal.mono(et=HALF)
         # the fundamental steps Y_{+-omega_r} for `apply_weights`
         self.y_steps = {(r, s): (0, self.y_atoms(r, s))
                         for r in range(1, self.n1) for s in (1, -1)}
+
+    # -- the seams to rational-key polys ---------------------------------
+
+    def to_lattice(self, p):
+        """A poly {(eq, et, 0): c} of `scalars` as a lattice poly."""
+        L = self.L
+        out = {}
+        for (eq, et, ea), c in p.items():
+            iq, it = eq * L, et * L
+            if ea or type(c) is not int or iq != int(iq) or it != int(it):
+                raise OffLattice(f"c={c} at q^({eq}) t^({et}) a^({ea}) is "
+                                 f"not a lattice term at rank {self.n}")
+            out[(int(iq), int(it))] = c
+        return out
+
+    def xp_to_lattice(self, f):
+        """An XPoly with Scal coefficients, each a poly, in lattice form."""
+        out = {}
+        for b, c in f.items():
+            if c.den:
+                raise OffLattice(f"coefficient of X_{b} has the denominator "
+                                 f"{c.den}")
+            out[b] = self.to_lattice(c.num)
+        return out
+
+    def from_lattice(self, p):
+        """A lattice poly as a poly of `scalars`."""
+        L = self.L
+        return {(_ex(Fraction(iq, L)), _ex(Fraction(it, L)), 0): c
+                for (iq, it), c in p.items()}
 
     # -- generator actions -----------------------------------------------
 
@@ -147,8 +194,10 @@ class Rep:
         the same pass: it subtracts X_b from the second sum.  A collects the
         coefficients of t^{1/2} and D those of t^{1/2} - t^{-1/2}, by signs
         and q-shifts alone; the result is t^{1/2} (A + D) - t^{-1/2} D.
+        In lattice units q^cq is a shift by cq L and t^{1/2} one by n + 1.
         """
-        w, cq = (self.alphas[i], 0) if i else (self.mtheta, 1)
+        w, cq = (self.alphas[i], 0) if i else (self.mtheta, self.L)
+        h = self.half
         A, D = {}, {}
         for b, c in f.items():
             e = -b[i - 1] if i else sum(b)
@@ -162,27 +211,25 @@ class Rep:
         out = {}
         for b, d in D.items():
             a = A.pop(b, None)
-            v = d.scale(-1, T_MHALF)
+            v = lp_shift(d, 0, -h, -1)
             if a is not None:
-                d = d.add(a)
-            if not d.is_zero():
-                v = v.add(d.scale(1, T_HALF))
-            if not v.is_zero():
+                lp_add_into(d, a)
+            if lp_add_into(v, d, 1, 0, h):
                 out[b] = v
         for b, a in A.items():
-            out[b] = a.scale(1, T_HALF)
+            out[b] = lp_shift(a, 0, h)
         return out
 
     def pi_op(self, r, f, sign=1):
         if sign == -1:
             r = self.n1 - r    # pi_r^{-1} = pi_{n+1-r}
         uinv = self._uinv[r]
-        omega_i = self.omegas[self.n1 - r]
+        row = self._gram[self.n1 - r]
         out = {}
         for b, c in f.items():
-            e = wt.pairing(omega_i, b)
+            e = sum(x * y for x, y in zip(row, b))
             b2 = wt.from_eps(wt.perm_act_eps(uinv, wt.to_eps(b)))
-            xp_add_into(out, {b2: c.scale(1, (e, 0, 0))})
+            out[b2] = lp_shift(c, e)
         return out
 
     def xmul(self, b, f):
@@ -213,12 +260,17 @@ class Rep:
         return tuple(('T', i, -1) for i in reversed(word)) + (('P', r, -1),)
 
     def y_op(self, b, f):
-        return apply_weights(self, {tuple(b): Scal.one()}, self.y_steps, f)
+        return apply_weights(self, xp_mono(b), self.y_steps, f)
 
     # -- coinvariant -----------------------------------------------------
 
     def coinvariant(self, f):
-        return xp_eval(f, self.rho_pt)
+        """f at q^{-rho_k}, where X_b -> t^{-(rho, b)}, as a lattice poly."""
+        row = self._rho_row
+        out = {}
+        for b, c in f.items():
+            lp_add_into(out, c, 1, 0, -sum(x * y for x, y in zip(row, b)))
+        return out
 
     # -- tau-letter images -----------------------------------------------
 
@@ -240,29 +292,30 @@ class Rep:
                 l = b[r - 1]
                 if not l:
                     continue
-                eq += sgn * l * self._omega2[r] * HALF
+                eq += sgn * l * self._c[r]
                 if l > 0:
                     seq = self.y_atoms(r, sgn) + (('X', self.omegas[r]),)
                 else:
                     seq = ((('X', wt.wt_neg(self.omegas[r])),)
                            + self.y_atoms(r, -sgn))
                 atoms += seq * abs(l)
-            return _ex(eq), atoms
+            return eq, atoms
         # tau_+ letters
         if a0 == 'X':
             return 0, (atom,)
+        L = self.L
         if a0 == 'T':            # T_0
             th, mth = self.theta, self.mtheta
             if sgn == 1:
                 if atom[2] == 1:   # T_0 -> q^-1 X_theta T_0^-1
-                    return -1, (('X', th), ('T', 0, -1))
-                return 1, (('T', 0, 1), ('X', mth))
+                    return -L, (('X', th), ('T', 0, -1))
+                return L, (('T', 0, 1), ('X', mth))
             if atom[2] == 1:       # tau_+^-1: T_0 -> q^-1 T_0^-1 X_theta
-                return -1, (('T', 0, -1), ('X', th))
-            return 1, (('X', mth), ('T', 0, 1))
+                return -L, (('T', 0, -1), ('X', th))
+            return L, (('X', mth), ('T', 0, 1))
         # pi_r
         r, s = atom[1], atom[2]
-        c = _ex(self._omega2[r] * HALF)
+        c = self._c[r]
         om, mom = self.omegas[r], wt.wt_neg(self.omegas[r])
         if sgn == 1:
             if s == 1:      # tau_+(pi_r) = q^-c X_r pi_r
@@ -289,7 +342,7 @@ class Rep:
                 e, seq = self.image_atom(word[:-1], a)
                 eq += e
                 atoms += seq
-            out = (_ex(eq), atoms)
+            out = (eq, atoms)
         memo[key] = out
         return out
 
@@ -397,7 +450,7 @@ def apply_weights(rep, f, steps, g):
     O_{b+c} = O_b O_c.
 
     steps[(r, s)] = (eq, atoms) gives the fundamental step O_{s omega_r} =
-    q^eq atoms.  The atom part of O_b g is built one step from that of a
+    q^{eq/L} atoms.  The atom part of O_b g is built one step from that of a
     shorter weight (the first nonzero coordinate of b steps last) and
     memoized; the q-powers add up along the way and scale f_b alone.
     """
@@ -413,11 +466,11 @@ def apply_weights(rep, f, steps, g):
         prev[r - 1] -= s
         e, v = value(tuple(prev))
         eq, atoms = steps[(r, s)]
-        out = memo[b] = (_ex(e + eq), rep.apply_atoms(atoms, v))
+        out = memo[b] = (e + eq, rep.apply_atoms(atoms, v))
         return out
 
     out = {}
     for b, c in f.items():
         e, v = value(b)
-        xp_add_into(out, v, c.scale(1, (e, 0, 0)) if e else c)
+        xp_add_into(out, v, lp_shift(c, e) if e else c)
     return out

@@ -14,16 +14,22 @@ P_lambda comes from Hecke-symmetrizing E (the symmetrizer factors through
 parabolic coset sums, so |W| never appears), J = h_lambda P, and the closed
 evaluation P_lambda(q^{-rho_k}) is a product over pairs of b's epsilon
 coordinates.
+
+E, P and J keep Scal coefficients.  They reach the operators of `daha`,
+which act on lattice XPolys, by linearity: the Y-columns act on monomials,
+and the symmetrizer acts on E's numerators over one common denominator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 
-from .scalars import Scal, _ex, binomial_fb, FactoredBinomial
+from .scalars import (Scal, _ex, binomial_fb, FactoredBinomial, pmul,
+                      atom_expand_cached)
 from . import weights as wt
-from .daha import get_rep, xp_mono, xp_add_into, xp_scale
+from .daha import get_rep, xp_mono, xp_add_into, lp_shift
 
 
 class EigenvalueCollision(Exception):
@@ -131,15 +137,15 @@ class Mac:
                     break
             else:
                 raise EigenvalueCollision((b, c))
+        rep = self.rep
         used = sorted(set(direction.values()))
         cols = {i: {} for i in used}
         for i in used:
-            om = self.rep.omegas[i]
+            om = rep.omegas[i]
             for d in span:
-                col = self.rep.y_op(om, xp_mono(d))
-                diag = col.get(d)
-                want = Scal.mono(*self.eigen_exp(i, d))
-                if diag is None or not diag.sub(want).is_zero():
+                col = rep.y_op(om, xp_mono(d))
+                eq, et = self.eigen_exp(i, d)
+                if col.get(d) != rep.to_lattice({(eq, et, 0): 1}):
                     raise NonTerminating(f"Y_{i} not triangular at {d}")
                 cols[i][d] = col
         # row c of Y_i E_b = lam_b E_b gives x_c from the x_d whose column
@@ -158,7 +164,8 @@ class Mac:
             acc = Scal.zero()
             for d in deps[c]:
                 if d in x:
-                    acc = acc.add(cols[i][d][c].mul(x[d]))
+                    y = Scal(rep.from_lattice(cols[i][d][c]))
+                    acc = acc.add(y.mul(x[d]))
             if acc.is_zero():
                 continue
             # lam_b - lam_c = q^. t^. (1 - q^. t^.), kept factored
@@ -173,18 +180,34 @@ class Mac:
     # -- symmetrization --------------------------------------------------
 
     def symmetrize(self, f):
-        """Apply the Hecke symmetrizer sum_w t^{l(w)/2} T_w via coset sums."""
+        """Apply the Hecke symmetrizer sum_w t^{l(w)/2} T_w via coset sums.
+
+        f's Scal coefficients are put over one common denominator; the coset
+        sums act on the numerators in lattice form, and each coefficient of
+        the result is its numerator over that denominator.
+        """
         rep = self.rep
-        th = rep.t_half
+        den = Counter()
+        for c in f.values():
+            den |= Counter(c.den)
+        lat = {}
+        for b, c in f.items():
+            num = c.num
+            for atm in (den - Counter(c.den)).elements():
+                num = pmul(num, atom_expand_cached(atm))
+            lat[b] = rep.to_lattice(num)
+        h = rep.half
         for m in range(1, self.n + 1):
             # coset factor sum_j t^{l/2} T_{s_j} ... T_{s_m}, j = m+1, ..., 1
-            acc = dict(f)
-            cur = f
+            acc = {b: dict(c) for b, c in lat.items()}
+            cur = lat
             for i in range(m, 0, -1):
-                cur = xp_scale(rep.t_op(i, cur), th)
+                cur = {b: lp_shift(c, 0, h)
+                       for b, c in rep.t_op(i, cur).items()}
                 xp_add_into(acc, cur)
-            f = acc
-        return f
+            lat = acc
+        den = tuple(den.elements())
+        return {b: Scal(rep.from_lattice(c), den) for b, c in lat.items()}
 
     def P(self, lam):
         """Monic P_lambda: symmetrize(E_b) over its coefficient at X_b.
@@ -204,7 +227,8 @@ class Mac:
         if raw.get(b) != Scal(lead.expand()):
             raise NotMonic(f"symmetrize(E_{b}) has {raw.get(b)} at X_{b}, "
                            f"not the stabilizer's {lead}")
-        out = xp_scale(raw, Scal.one().div(lead))
+        inv = Scal.one().div(lead)
+        out = {c: v.mul(inv) for c, v in raw.items()}
         self._P[lam] = out
         return out
 
@@ -235,7 +259,7 @@ class Mac:
         hit = self._J.get(lam)
         if hit is None:
             h = Scal(wt.h_lambda(lam).expand())
-            hit = xp_scale(self.P(lam), h)
+            hit = {c: v.mul(h) for c, v in self.P(lam).items()}
             self._J[lam] = hit
         return hit
 

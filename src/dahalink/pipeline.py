@@ -10,7 +10,7 @@ off the result; the bound (5.40) only limits how far one window may grow.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 
 from . import weights as wt
@@ -21,8 +21,8 @@ from .scalars import (
 )
 from .weights import RankTooSmall
 from .daha import (
-    get_rep, xp_one, xp_mul, xp_eq, word_of_rs, gamma_hat_project,
-    _core_project, apply_weights,
+    get_rep, xp_one, xp_mul, word_of_rs, gamma_hat_project, _core_project,
+    apply_weights,
 )
 from .macdonald import get_mac
 from .links import (
@@ -46,16 +46,16 @@ def pre_polynomial(forest, rank):
 
     Every vertex applies the lift of its [r, s] column to the product of the
     deeper factors and projects back to the polynomial module; arrowheads
-    seed the recursion with the integral Macdonald polynomial J.
+    seed the recursion with the integral Macdonald polynomial J.  The
+    result is a lattice XPoly (`daha`).
     """
-    mac = get_mac(rank)
     rep = get_rep(rank)
     paths = forest.paths
 
     def factor(lam):
         if not lam:
             return xp_one(rank)
-        return mac.J(lam)
+        return _lattice_J(rank, lam)
 
     def block(lo, hi, depth):
         out = None
@@ -77,6 +77,14 @@ def pre_polynomial(forest, rank):
         return out
 
     return block(0, len(paths) - 1, 0)
+
+
+@lru_cache(maxsize=None)
+def _lattice_J(rank, lam):
+    """mac.J(lam) in lattice form: the seam where J enters the operators.
+    A coefficient with a denominator or an off-lattice exponent raises
+    `daha.OffLattice`."""
+    return get_rep(rank).xp_to_lattice(get_mac(rank).J(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +122,8 @@ def jd_raw(pair, rank, norm="min"):
     if pair.second is not None:
         g = pre_polynomial(pair.second, rank)
         f = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
-    return _div_j_eval(rep.coinvariant(f), rank, lam)
+    val = Scal(rep.from_lattice(rep.coinvariant(f)))
+    return _div_j_eval(val, rank, lam)
 
 
 @dataclass(frozen=True)
@@ -403,10 +412,8 @@ def _check_lifts(pair, rank, norm, sup):
     r, s = labels[0]
     w = word_of_rs(r, s)
     alt = (('+', 1), ('+', -1)) + w + (('+', 1), ('+', -1))
-    probe = get_mac(rank).J((1,))
-    f1 = gamma_hat_project(w, probe, rep)
-    f2 = _core_project(alt, probe, rep)
-    ok = xp_eq(f1, f2)
+    probe = _lattice_J(rank, (1,))
+    ok = gamma_hat_project(w, probe, rep) == _core_project(alt, probe, rep)
     return {"ok": ok, "word": w, "base": poly_text(base)}
 
 

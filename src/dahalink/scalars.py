@@ -3,8 +3,11 @@
 Three layers:
 
   * plain sparse Laurent "polys": dict mapping (e_q, e_t, e_a) -> Fraction|int,
-    exponents integers or Fractions (q-exponents pick up denominators 2(n+1)
-    transiently, t-exponents denominator 2);
+    exponents integers or Fractions.  The rank-n operators of `daha` do not
+    use them: they act on lattice polys with integer exponents in the unit
+    1/(2(n+1)).  Fraction exponents now arise only in `Mac` (E, P, J and
+    their evaluations) and at the seams where J enters the operators and
+    the coinvariant value leaves them;
   * Scal: a poly over a product of atoms.  A Scal never factors its
     numerator: it divides only by a FactoredBinomial, whose atoms join the
     denominator, and an atom leaves the denominator when it divides the
@@ -57,7 +60,7 @@ def _ex(e):
 
 
 def _co(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
 

@@ -163,11 +163,6 @@ class EvalPoint:
                 pairing(b, from_eps(self.kappa)))
 
 
-def minus_rho_k(n):
-    """The point q^{-rho_k}: X_a -> t^{-(rho,a)}."""
-    return EvalPoint((0,) * (n + 1), tuple(-x for x in rho_eps(n)))
-
-
 def sharp_point(b):
     """(b_plus, w_b, b-sharp) with b-sharp = b + w_b^{-1}(rho_k)."""
     b_plus, w = sort_perm_maximal(b)

@@ -13,8 +13,8 @@ from dahalink import weights as wt
 from dahalink.scalars import (Scal, FactoredBinomial, pmono, pone, pmul,
                               padd_into, pscale, _ex, _cyclo_coeffs,
                               binomial_fb)
-from dahalink.daha import xp_one, xp_add_into, xp_scale, xp_mul
 from dahalink.macdonald import _rho_weight
+from scal_xpoly import xp_one, xp_add_into, xp_scale, xp_mul
 from weyl import eval_products
 
 

@@ -1,0 +1,87 @@
+"""XPolys with Scal coefficients, as `Mac` returns E, P and J.
+
+The operators of `daha` act on lattice XPolys.  The oracles and checks in
+the tests work on Scal XPolys with the helpers below; `to_scal` reads a
+lattice XPoly back, and `apply_linear` applies an operator to a Scal XPoly
+by linearity, one monomial at a time.
+"""
+
+from fractions import Fraction
+
+from dahalink import weights as wt
+from dahalink.scalars import Scal
+
+HALF = Fraction(1, 2)
+
+
+def xp_one(n):
+    return {wt.zero(n): Scal.one()}
+
+
+def xp_mono(b, coeff=None):
+    return {tuple(b): coeff if coeff is not None else Scal.one()}
+
+
+def xp_add_into(acc, f, scale=None):
+    for b, c in f.items():
+        v = c if scale is None else c.mul(scale)
+        cur = acc.get(b)
+        s = v if cur is None else cur.add(v)
+        if s.is_zero():
+            acc.pop(b, None)
+        else:
+            acc[b] = s
+    return acc
+
+
+def xp_add(f, g):
+    return xp_add_into(dict(f), g)
+
+
+def xp_scale(f, scal):
+    if scal.is_zero():
+        return {}
+    return {b: c.mul(scal) for b, c in f.items()}
+
+
+def xp_mul(f, g):
+    acc = {}
+    for b1, c1 in f.items():
+        for b2, c2 in g.items():
+            xp_add_into(acc, {wt.wt_add(b1, b2): c1.mul(c2)})
+    return acc
+
+
+def xp_eq(f, g):
+    zero = Scal.zero()
+    for b in set(f) | set(g):
+        if not f.get(b, zero).sub(g.get(b, zero)).is_zero():
+            return False
+    return True
+
+
+def minus_rho_k(n):
+    """The coinvariant point q^{-rho_k}: X_a -> t^{-(rho,a)}."""
+    return wt.EvalPoint((0,) * (n + 1), tuple(-x for x in wt.rho_eps(n)))
+
+
+def xp_eval(f, point):
+    """Evaluate at an EvalPoint; returns Scal."""
+    acc = Scal.zero()
+    for b, c in f.items():
+        eq, et = point.exponents(b)
+        acc = acc.add(c.scale(1, (eq, et, 0)))
+    return acc
+
+
+def to_scal(rep, f):
+    """A lattice XPoly of rank rep.n as a Scal XPoly."""
+    return {b: Scal(rep.from_lattice(c)) for b, c in f.items()}
+
+
+def apply_linear(rep, op, f):
+    """op, a linear map of lattice XPolys, applied to the Scal XPoly f."""
+    out = {}
+    for b, c in f.items():
+        xp_add_into(out, to_scal(rep, op({b: {(0, 0): 1}})), c)
+    return out

@@ -7,20 +7,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dahalink import weights as wt
-from dahalink.scalars import Scal, hat_normalize, poly_text, pmono, padd_into
+from dahalink.scalars import (Scal, hat_normalize, poly_text, pmono,
+                              padd_into)
 from dahalink.daha import (
-    get_rep, xp_one, xp_mono, xp_add, xp_add_into, xp_scale, xp_mul, xp_eq,
-    xp_eval, NotCoprime, word_matrix, word_of_rs, gamma_hat_project,
-    _core_project, HALF,
+    get_rep, xp_one, xp_mono, xp_add_into, NotCoprime, OffLattice,
+    word_matrix, word_of_rs, gamma_hat_project, _core_project,
 )
 from factoring import scal_inv
+import scal_xpoly as sx
+from scal_xpoly import HALF, minus_rho_k, to_scal
 
 
-T_DIFF = Scal.mono(et=HALF).sub(Scal.mono(et=-HALF))    # t^{1/2} - t^{-1/2}
+T_HALF = Scal.mono(et=HALF)
+T_DIFF = T_HALF.sub(Scal.mono(et=-HALF))    # t^{1/2} - t^{-1/2}
+
+
+def t_diff(rep):
+    """t^{1/2} - t^{-1/2} as a lattice poly."""
+    return {(0, rep.half): 1, (0, -rep.half): -1}
+
+
+def scal_of(rep, p):
+    """A lattice poly as a Scal."""
+    return Scal(rep.from_lattice(p))
 
 
 def basket(n, seed):
-    """A few deterministic 'random' Laurent polynomials of rank n."""
+    """A few deterministic 'random' lattice XPolys of rank n."""
     out = []
     ws = list(itertools.product(*[range(-2, 3)] * n))
     for s in range(3):
@@ -28,13 +41,19 @@ def basket(n, seed):
         for j, b in enumerate(ws):
             c = ((seed + s) * 31 + j * 17) % 7 - 3
             if c:
-                f[b] = Scal.mono(c=c)
+                f[b] = {(0, 0): c}
         out.append(f)
     return out
 
 
+def x_plus_xinv():
+    """X + X^{-1} at rank 1, as a lattice XPoly."""
+    return {(1,): {(0, 0): 1}, (-1,): {(0, 0): 1}}
+
+
 def t_op_by_division(rep, i, f, sign=1):
-    """Reference T_i^sign: t^{1/2} s_i f + (t^{1/2} - t^{-1/2}) g, where g is
+    """Reference T_i^sign on a Scal XPoly:
+    t^{1/2} s_i f + (t^{1/2} - t^{-1/2}) g, where g is
     the exact quotient of s_i f - f by q^cq X_w - 1 (w = alpha_i, cq = 0 for
     i >= 1; w = -theta, cq = 1 for i = 0), and T_i^{-1} = T_i - (t^{1/2} -
     t^{-1/2})."""
@@ -47,11 +66,11 @@ def t_op_by_division(rep, i, f, sign=1):
         else:
             v[0], v[-1] = v[-1], v[0]
             c = c.scale(1, (sum(b), 0, 0))      # q^{(b, theta)}
-        xp_add_into(sf, {wt.from_eps(tuple(v)): c})
-    quo = _div_binomial(xp_add_into(dict(sf), f, Scal.mono(c=-1)), w, cq)
-    out = xp_add_into(xp_scale(sf, rep.t_half), quo, T_DIFF)
+        sx.xp_add_into(sf, {wt.from_eps(tuple(v)): c})
+    quo = _div_binomial(sx.xp_add_into(dict(sf), f, Scal.mono(c=-1)), w, cq)
+    out = sx.xp_add_into(sx.xp_scale(sf, T_HALF), quo, T_DIFF)
     if sign == -1:
-        xp_add_into(out, f, T_DIFF.neg())
+        sx.xp_add_into(out, f, T_DIFF.neg())
     return out
 
 
@@ -72,15 +91,57 @@ def _div_binomial(g, w, cq):
         if wt.pairing(h, w) < lo:
             raise AssertionError("q^cq X_w - 1 does not divide g")
         c = g.pop(top).scale(1, (-cq, 0, 0))
-        xp_add_into(quo, {h: c})
-        xp_add_into(g, {h: c})
+        sx.xp_add_into(quo, {h: c})
+        sx.xp_add_into(g, {h: c})
     return quo
 
 
 @st.composite
+def lattice_polys(draw, n, max_terms=2):
+    """Small random polys of `scalars` whose q- and t-exponents are in
+    steps of 1/(2(n+1)), the lattice of rank n."""
+    num = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        eq = Fraction(draw(st.integers(-12, 12)), 2 * (n + 1))
+        et = Fraction(draw(st.integers(-12, 12)), 2 * (n + 1))
+        padd_into(num, pmono(eq, et, 0, draw(st.integers(-3, 3))))
+    return num
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lattice_round_trip(n, data):
+    """to_lattice then from_lattice gives the poly back, exponent types and
+    all (the canonical text would show a Fraction exponent that is an
+    integer)."""
+    rep = get_rep(n)
+    p = data.draw(lattice_polys(n, max_terms=5))
+    back = rep.from_lattice(rep.to_lattice(p))
+    assert back == p
+    assert poly_text(back) == poly_text(p)
+
+
+def test_off_lattice_raises():
+    rep = get_rep(1)                       # unit 1/4
+    for p in ({(0, 0, 0): Fraction(1, 2)},          # a coefficient with
+              {(Fraction(1, 3), 0, 0): 1},          # a denominator, and
+              {(0, Fraction(1, 8), 0): 1},          # exponents off the
+              {(0, 0, 1): 1}):                      # lattice
+        with pytest.raises(OffLattice):
+            rep.to_lattice(p)
+        with pytest.raises(OffLattice):
+            rep.xp_to_lattice({(1,): Scal(p)})
+    # a coefficient with a denominator atom
+    with pytest.raises(OffLattice):
+        rep.xp_to_lattice({(1,): Scal({(0, 0, 0): 1}, (('c', 1, 1, 1),))})
+
+
+@st.composite
 def xpolys(draw, n):
-    """Small random XPolys of rank n; each coefficient is a sum of monomials
-    with q-exponents in steps of 1/(2(n+1)) and t-exponents in halves."""
+    """Small random Scal XPolys of rank n; each coefficient is a sum of
+    monomials with q-exponents in steps of 1/(2(n+1)) and t-exponents in
+    halves."""
     f = {}
     for _ in range(draw(st.integers(1, 4))):
         b = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
@@ -89,7 +150,7 @@ def xpolys(draw, n):
             eq = Fraction(draw(st.integers(-6, 6)), 2 * (n + 1))
             et = Fraction(draw(st.integers(-2, 2)), 2)
             padd_into(num, pmono(eq, et, 0, draw(st.integers(-3, 3))))
-        xp_add_into(f, {b: Scal(num)})
+        sx.xp_add_into(f, {b: Scal(num)})
     return f
 
 
@@ -97,12 +158,15 @@ def xpolys(draw, n):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_t_op_matches_division(n, data):
+    """T_i on the lattice form, read back, equals the division oracle on
+    the Scal form: this checks the conversion and T_i together."""
     rep = get_rep(n)
     f = data.draw(xpolys(n))
+    lat = rep.xp_to_lattice(f)
     for i in range(n + 1):
         for sign in (1, -1):
-            assert xp_eq(rep.t_op(i, f, sign),
-                         t_op_by_division(rep, i, f, sign))
+            assert sx.xp_eq(to_scal(rep, rep.t_op(i, lat, sign)),
+                            t_op_by_division(rep, i, f, sign))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -113,8 +177,8 @@ def test_quadratic_hecke_relation(n):
             tf = rep.t_op(i, f)
             ttf = rep.t_op(i, tf)
             # T^2 = (t^{1/2}-t^{-1/2}) T + 1
-            rhs = xp_add(xp_scale(tf, T_DIFF), f)
-            assert xp_eq(ttf, rhs)
+            rhs = xp_add_into(xp_add_into({}, f), tf, t_diff(rep))
+            assert ttf == rhs
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -125,20 +189,21 @@ def test_braid_relations(n):
         j = (i + 1) % (n + 1)
         lhs = rep.t_op(i, rep.t_op(j, rep.t_op(i, f)))
         rhs = rep.t_op(j, rep.t_op(i, rep.t_op(j, f)))
-        assert xp_eq(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_t_inverse():
     rep = get_rep(2)
     for f in basket(2, 3):
         for i in range(3):
-            assert xp_eq(rep.t_op(i, rep.t_op(i, f, sign=-1)), f)
+            assert rep.t_op(i, rep.t_op(i, f, sign=-1)) == f
 
 
 def test_t_on_constant():
     rep = get_rep(2)
     for i in range(3):
-        assert xp_eq(rep.t_op(i, xp_one(2)), xp_scale(xp_one(2), rep.t_half))
+        assert sx.xp_eq(to_scal(rep, rep.t_op(i, xp_one(2))),
+                        sx.xp_scale(sx.xp_one(2), T_HALF))
 
 
 def test_pi_order():
@@ -148,20 +213,20 @@ def test_pi_order():
         g = f
         for _ in range(3):
             g = rep.pi_op(1, g)
-        assert xp_eq(g, f)
+        assert g == f
 
 
 def test_pi_inverse():
     rep = get_rep(2)
     f = basket(2, 5)[1]
-    assert xp_eq(rep.pi_op(1, rep.pi_op(1, f, sign=-1)), f)
+    assert rep.pi_op(1, rep.pi_op(1, f, sign=-1)) == f
 
 
 def test_y_on_one():
     # Y_b(1) = q^{(rho_k, b)}: A_1 Y_omega(1) = t^{1/2}
     rep = get_rep(1)
-    got = rep.y_op((1,), xp_one(1))
-    assert xp_eq(got, xp_scale(xp_one(1), Scal.mono(et=HALF)))
+    got = to_scal(rep, rep.y_op((1,), xp_one(1)))
+    assert sx.xp_eq(got, sx.xp_scale(sx.xp_one(1), T_HALF))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -171,32 +236,39 @@ def test_y_commute(n):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             oi, oj = rep.omegas[i], rep.omegas[j]
-            assert xp_eq(rep.y_op(oi, rep.y_op(oj, f)),
-                         rep.y_op(oj, rep.y_op(oi, f)))
+            assert (rep.y_op(oi, rep.y_op(oj, f))
+                    == rep.y_op(oj, rep.y_op(oi, f)))
 
 
 def test_y_eigenvalue_on_X():
     # A_1: Y_omega(X) = q^{-1/2} t^{-1/2} X   (b-sharp = omega + rho_k)
     rep = get_rep(1)
-    got = rep.y_op((1,), xp_mono((1,)))
-    want = xp_scale(xp_mono((1,)), Scal.mono(eq=-HALF, et=-HALF))
-    assert xp_eq(got, want)
+    got = to_scal(rep, rep.y_op((1,), xp_mono((1,))))
+    want = sx.xp_scale(sx.xp_mono((1,)), Scal.mono(eq=-HALF, et=-HALF))
+    assert sx.xp_eq(got, want)
 
 
 def test_y_inverse():
     rep = get_rep(2)
     f = basket(2, 7)[2]
     g = rep.y_op((1, 1), rep.y_op((-1, -1), f))
-    assert xp_eq(g, f)
+    assert g == f
 
 
 def test_coinvariant():
     rep = get_rep(1)
-    assert rep.coinvariant(xp_one(1)).sub(Scal.one()).is_zero()
+    assert scal_of(rep, rep.coinvariant(xp_one(1))).sub(Scal.one()).is_zero()
     # X + X^-1 at q^{-rho_k}: t^{-1/2} + t^{1/2}
-    f = xp_add(xp_mono((1,)), xp_mono((-1,)))
     want = Scal({(0, Fraction(-1, 2), 0): 1, (0, Fraction(1, 2), 0): 1})
-    assert rep.coinvariant(f).sub(want).is_zero()
+    assert scal_of(rep, rep.coinvariant(x_plus_xinv())).sub(want).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coinvariant_is_the_evaluation_at_minus_rho_k(n):
+    rep = get_rep(n)
+    for f in basket(n, 8):
+        want = sx.xp_eval(to_scal(rep, f), minus_rho_k(n))
+        assert scal_of(rep, rep.coinvariant(f)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +307,30 @@ def test_image_round_trip():
     rep = get_rep(1)
     f = xp_mono((1,))
     w_id = (('+', 1), ('+', -1))
-    assert xp_eq(gamma_hat_project(w_id + (('-', 1),), f, rep),
-                 gamma_hat_project((('-', 1),), f, rep))
+    assert (gamma_hat_project(w_id + (('-', 1),), f, rep)
+            == gamma_hat_project((('-', 1),), f, rep))
 
 
 def test_gamma_project_empty_word():
     rep = get_rep(1)
-    f = xp_add(xp_mono((1,)), xp_mono((-1,)))
-    assert xp_eq(gamma_hat_project((), f, rep), f)
+    f = x_plus_xinv()
+    assert gamma_hat_project((), f, rep) == f
 
 
 def test_gamma_project_optimization_agrees():
     # stripping the trailing tau_+ letters does not change the projection
     rep = get_rep(1)
-    f = xp_add(xp_mono((1,)), xp_mono((-1,)))
+    f = x_plus_xinv()
     w = word_of_rs(3, 2)
-    assert xp_eq(gamma_hat_project(w, f, rep), _core_project(w, f, rep))
+    assert gamma_hat_project(w, f, rep) == _core_project(w, f, rep)
 
 
 def test_trefoil_from_monomial_orbit():
     """(3,2) on P_omega = X + X^{-1}, evaluated and hat-normalized."""
     rep = get_rep(1)
-    f = xp_add(xp_mono((1,)), xp_mono((-1,)))
+    f = x_plus_xinv()
     out = gamma_hat_project(word_of_rs(3, 2), f, rep)
-    val = rep.coinvariant(out).mul(scal_inv(rep.coinvariant(f)))  # spherical
+    val = scal_of(rep, rep.coinvariant(out)).mul(
+        scal_inv(scal_of(rep, rep.coinvariant(f))))     # spherical
     p, _ = hat_normalize(val.as_poly())
     assert poly_text(p) == "1 + q*t - q*t^2"

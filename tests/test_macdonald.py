@@ -12,12 +12,14 @@ from dahalink import weights as wt
 from dahalink.scalars import (Scal, FactoredBinomial, pmul, pone,
                               psubstitute, atom_expand_cached, poly_parse,
                               binomial_fb, _ex)
-from dahalink.daha import (get_rep, xp_one, xp_mono, xp_add, xp_add_into,
-                           xp_eq, xp_eval, xp_scale, word_of_rs,
-                           gamma_hat_project, HALF)
+from dahalink import daha
+from dahalink.daha import get_rep, word_of_rs, gamma_hat_project
 from dahalink.macdonald import (Mac, get_mac, span_weights, NonTerminating,
                                 NotMonic, _rho_weight)
 from factoring import factored, scal_inv
+from scal_xpoly import (xp_one, xp_mono, xp_add, xp_add_into, xp_eq,
+                        xp_eval, xp_scale, to_scal, apply_linear, HALF,
+                        minus_rho_k)
 import weyl
 from norms import (E_eval, P_spherical, norm_spherical, norm_stable,
                    ratio_scal, mu_inner_truncated, star_scal, star_xpoly)
@@ -140,7 +142,8 @@ def test_E_joint_eigenvector(n, b):
     assert E[b].sub(Scal.one()).is_zero()
     for i in range(1, n + 1):
         lam = Scal.mono(*m.eigen_exp(i, b))
-        assert xp_eq(rep.y_op(rep.omegas[i], E), xp_scale(E, lam))
+        YE = apply_linear(rep, lambda g: rep.y_op(rep.omegas[i], g), E)
+        assert xp_eq(YE, xp_scale(E, lam))
 
 
 def test_E_refuses_a_non_triangular_Y(monkeypatch):
@@ -149,12 +152,13 @@ def test_E_refuses_a_non_triangular_Y(monkeypatch):
     m = Mac(1)
     y_op = m.rep.y_op
     partner = {(0,): (-2,), (-2,): (0,)}
+    q7 = {(7 * m.rep.L, 0): 1}              # q^7 as a lattice poly
 
     def planted(om, f):
         out = y_op(om, f)
         for d in f:
             if d in partner:
-                out = xp_add(out, xp_mono(partner[d], Scal.mono(eq=7)))
+                daha.xp_add_into(out, {partner[d]: q7})
         return out
 
     monkeypatch.setattr(m.rep, "y_op", planted)
@@ -196,7 +200,8 @@ def test_P_hecke_invariant_and_monic(n, lam):
     P = m.P(lam)
     assert P[wt.to_weight(lam, n)].sub(Scal.one()).is_zero()
     for i in range(1, n + 1):
-        assert xp_eq(rep.t_op(i, P), xp_scale(P, rep.t_half))
+        TP = apply_linear(rep, lambda g: rep.t_op(i, g), P)
+        assert xp_eq(TP, xp_scale(P, Scal.mono(et=HALF)))
 
 
 def test_P_rank_guard():
@@ -251,7 +256,7 @@ def test_eval_examples():
 ])
 def test_eval_closed_equals_substitution(n, lams, bs):
     m = get_mac(n)
-    pt = wt.minus_rho_k(n)
+    pt = minus_rho_k(n)
     for lam in lams:
         assert xp_eval(m.P(lam), pt).sub(p_eval(m, lam)).is_zero()
     for b in bs:
@@ -259,10 +264,11 @@ def test_eval_closed_equals_substitution(n, lams, bs):
 
 
 def test_spherical_coinvariant_one():
+    """The coinvariant (evaluation at q^{-rho_k}) of P-spherical is 1."""
     m = get_mac(2)
-    rep = get_rep(2)
+    pt = minus_rho_k(2)
     for lam in [(1,), (2, 1)]:
-        assert rep.coinvariant(P_spherical(m, lam)).sub(Scal.one()).is_zero()
+        assert xp_eval(P_spherical(m, lam), pt).sub(Scal.one()).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +355,8 @@ def test_tau_minus_dot_matches_word_action():
     m = get_mac(1)
     rep = get_rep(1)
     f = xp_add(xp_mono((1,)), xp_mono((-1,)))
-    via_word = gamma_hat_project((('-', 1),), f, rep)
-    assert xp_eq(via_word, tau_minus_dot(m, f, 1))
+    via_word = gamma_hat_project((('-', 1),), rep.xp_to_lattice(f), rep)
+    assert xp_eq(to_scal(rep, via_word), tau_minus_dot(m, f, 1))
 
 
 @pytest.mark.parametrize("n,lam,rs", [
@@ -360,15 +366,16 @@ def test_leading_tau_minus_run_acts_diagonally(n, lam, rs):
     """A leading tau_- run of net exponent m projects as tau_minus_dot(m)."""
     m = get_mac(n)
     rep = get_rep(n)
-    Q = m.J(lam)
+    Q = rep.xp_to_lattice(m.J(lam))
     w = word_of_rs(*rs)
     k = net = 0
     while k < len(w) and w[k][0] == '-':
         net += w[k][1]
         k += 1
     assert net
-    want = tau_minus_dot(m, gamma_hat_project(w[k:], Q, rep), net)
-    assert xp_eq(gamma_hat_project(w, Q, rep), want)
+    tail = to_scal(rep, gamma_hat_project(w[k:], Q, rep))
+    want = tau_minus_dot(m, tail, net)
+    assert xp_eq(to_scal(rep, gamma_hat_project(w, Q, rep)), want)
 
 
 def test_apply_fY_identity():
@@ -396,7 +403,8 @@ def test_apply_fY_matches_y_op(sign):
     g = m.P((2, 1))
     for fb in [(1, 0), (0, 1), (1, 1)]:
         via = apply_fY(m, {fb: Scal.one()}, g, sign)
-        direct = rep.y_op(tuple(-sign * x for x in fb), g)
+        b = tuple(-sign * x for x in fb)
+        direct = apply_linear(rep, lambda h: rep.y_op(b, h), g)
         assert xp_eq(via, direct)
 
 

@@ -20,9 +20,10 @@ import dahalink
 from dahalink import pipeline as pl
 from dahalink.cli import main
 from dahalink.daha import (
-    get_rep, gamma_hat_project, word_of_rs, xp_add_into, xp_eq,
+    get_rep, gamma_hat_project, word_of_rs, xp_add_into, OffLattice,
 )
 from degree import exact_deg_a
+from homfly import rosso_jones
 
 
 TREFOIL = "{[3,2]->(1)}"
@@ -121,7 +122,8 @@ def _jd_nested(pair, rank, norm="min"):
         g = pl.pre_polynomial(ColoredForest((Path((), (1,)),)), rank)
     g = gamma_hat_project(word_of_rs(beta, alpha), g, rep)
     f = pl._apply_fY(rep, g, f, sign=-1)
-    return pl._div_j_eval(rep.coinvariant(f), rank, norm_diagram(low, norm))
+    val = Scal(rep.from_lattice(rep.coinvariant(f)))
+    return pl._div_j_eval(val, rank, norm_diagram(low, norm))
 
 
 def _apply_fY_per_monomial(rep, f, g, sign=1):
@@ -151,8 +153,8 @@ def test_apply_fY_matches_the_per_monomial_route(dsl, ranks, sign):
         rep = get_rep(m)
         f = pl.pre_polynomial(pair.second, m)
         g = pl.pre_polynomial(pair.first, m)
-        assert xp_eq(pl._apply_fY(rep, f, g, sign),
-                     _apply_fY_per_monomial(rep, f, g, sign)), m
+        assert (pl._apply_fY(rep, f, g, sign)
+                == _apply_fY_per_monomial(rep, f, g, sign)), m
 
 
 def test_twist_nested_route_agrees():
@@ -315,6 +317,7 @@ def _torus_alexander(r, s, scale):
 @pytest.mark.parametrize("dsl", [
     TREFOIL, "{[5,2]->(1)}", "{[4,3]->(1)}",
     "{[2,1],[2,1]->(1)}", "{[2,1],[2,3]->(1)}", "{[2,1],[3,1]->(1)}",
+    pytest.param("{[3,2],[2,1]->(1)}", marks=pytest.mark.slow),
 ])
 def test_alexander_matches_cabling_formula(dsl):
     """Seifert: Delta_K(x) = prod_i Delta_{T(r_i,a_i)}(x^{r_{i+1}...r_l})."""
@@ -326,6 +329,16 @@ def test_alexander_matches_cabling_formula(dsl):
             scale *= rr
         want = pmul(want, _torus_alexander(r, a, scale))
     assert pl.spec_alexander(sup(dsl)) == hat_normalize(want)[0]
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3),
+                                 (7, 3)])
+def test_homfly_matches_rosso_jones(m, n):
+    """The t = q slice, every a-degree of it, against a reference that
+    does not use DAHA."""
+    want = hat_normalize(rosso_jones(m, n))[0]
+    got = pl.spec_homfly(sup("{[%d,%d]->(1)}" % (m, n))).as_poly()
+    assert hat_normalize(got)[0] == want
 
 
 def test_khovanov_variant_a():
@@ -385,6 +398,24 @@ def test_bad_normalization_fails_before_any_rank(norm, monkeypatch):
         pl.superpolynomial(pair, norm)
     with pytest.raises(ValueError):
         pl.jd(pair, 1, norm)
+
+
+@pytest.mark.parametrize("bad", [
+    Scal(poly_parse("1/2")),              # a coefficient with a denominator
+    Scal(poly_parse("1"), (('c', 1, 1, 1),)),
+    Scal(poly_parse("q^(1/3)")),          # off the lattice of unit 1/4
+], ids=["fraction", "atom", "off_lattice"])
+def test_J_seam_refuses_what_the_lattice_cannot_hold(bad, monkeypatch):
+    """Where J enters pre_polynomial, a term the lattice cannot hold raises
+    OffLattice instead of being dropped."""
+    from dahalink.macdonald import Mac
+    monkeypatch.setattr(Mac, "J", lambda self, lam: {(1,): bad})
+    pl._lattice_J.cache_clear()
+    try:
+        with pytest.raises(OffLattice):
+            pl.pre_polynomial(ColoredForest((Path((), (1,)),)), 1)
+    finally:
+        pl._lattice_J.cache_clear()
 
 
 def test_q1_factorization():

@@ -12,9 +12,10 @@ from dahalink.weights import (
     RankMismatch, RankTooSmall,
     to_eps, from_eps, fundamental, zero, wt_add, wt_neg, theta, alpha,
     pairing, norm2, rho_eps, perm_inv, reduced_word, u_perm,
-    sort_perm_maximal, EvalPoint, minus_rho_k, sharp_point,
+    sort_perm_maximal, EvalPoint, sharp_point,
     to_weight, transpose, diagram_union, arm_leg, h_lambda, pi_dagger,
 )
+from scal_xpoly import minus_rho_k
 from weyl import (dominant, perm_id, perm_mul, perm_len, perm_act,
                   longest_element, to_diagram, lambda_plus_set, tilde_N)
 
