@@ -1,13 +1,18 @@
 """The polynomial representation of the double affine Hecke algebra of A_n.
 
 An XPoly is a dict mapping weight keys (fundamental-coordinate tuples) to
-lattice polys: dicts {(iq, it): int} standing for the sum of the terms
-c q^{iq/L} t^{it/L}, where L = 2(n+1) is the rank's unit.  Every exponent
-the operators below produce lies on that lattice (the pairing of two
-weights has denominator n+1, and T_i brings t^{+-1/2}), and no coefficient
-has a denominator, so the operators never meet a Fraction or a Scal.
+lattice polys: dicts {key: int} standing for the sum of the terms
+c q^{iq/L} t^{it/L}, where L = 2(n+1) is the rank's unit and one int key
+packs the exponent pair as iq * 2^32 + it, with it a balanced digit.  A
+q/t shift is then one int add and key order is lex order on (iq, it).
+Every exponent the operators below produce lies on that lattice (the
+pairing of two weights has denominator n+1, and T_i brings t^{+-1/2}), and
+no coefficient has a denominator, so the operators never meet a Fraction
+or a Scal.  The key layout is private to this module:
 `Rep.to_lattice` / `Rep.xp_to_lattice` and `Rep.from_lattice` are the seams
-to the rational-key polys of `scalars`; off-lattice input raises OffLattice.
+to the rational-key polys of `scalars`; off-lattice input, or a t-exponent
+beyond T_LIMIT lattice units, raises OffLattice.  `lp_divexact` divides
+lattice polys exactly, for the normalization of a coinvariant value.
 
 Operators act through Atom sequences:
 
@@ -33,32 +38,51 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import _ex
+from .scalars import InexactDivision, _ex
 from . import weights as wt
 
 
 class OffLattice(ValueError):
     """A coefficient with a denominator, or an exponent off the lattice of
-    the rank's unit 1/(2(n+1)), where the operators need a lattice poly."""
+    the rank's unit 1/(2(n+1)) or beyond the packing bound, where the
+    operators need a lattice poly."""
 
 
 # ---------------------------------------------------------------------------
 # lattice polys and XPolys
 
-def lp_shift(p, dq=0, dt=0, s=1):
-    """s q^dq t^dt p (lattice units) as a new lattice poly."""
-    if dq or dt:
-        return {(iq + dq, it + dt): s * c for (iq, it), c in p.items()}
-    if s == 1:
-        return dict(p)
-    return {k: s * c for k, c in p.items()}
+# A key packs (iq, it) as iq * 2^32 + it, the t-digit balanced in
+# [-2^31, 2^31).  Keys then add as the exponents do, and int order is lex
+# order on (iq, it).  `Rep.to_lattice` admits |it| <= T_LIMIT, which leaves
+# the digit room for sums of over a hundred such exponents (the operators'
+# own shifts are a few units); iq is not bounded.
+_T_BITS = 32
+_T_HALF = 1 << (_T_BITS - 1)
+_T_MASK = (1 << _T_BITS) - 1
+T_LIMIT = 1 << 24
 
-def lp_add_into(acc, p, s=1, dq=0, dt=0):
-    """acc += s q^dq t^dt p in place (lattice units); zeros are dropped."""
-    if dq or dt:
-        p = lp_shift(p, dq, dt)
+
+def _key(iq, it):
+    return (iq << _T_BITS) + it
+
+def _unkey(k):
+    it = ((k + _T_HALF) & _T_MASK) - _T_HALF
+    return (k - it) >> _T_BITS, it
+
+def lp_shift(p, dq=0, dt=0):
+    """q^dq t^dt p (lattice units) as a new lattice poly."""
+    d = _key(dq, dt)
+    return {k + d: c for k, c in p.items()}
+
+def lp_add_into(acc, p, dq=0, dt=0):
+    """acc += q^dq t^dt p in place (lattice units); zeros are dropped."""
+    return _add_into(acc, p, _key(dq, dt))
+
+def _add_into(acc, p, d, s=1):
+    """acc += s p shifted by the packed key d, in place."""
     get = acc.get
     for k, c in p.items():
+        k += d
         v = get(k, 0) + s * c
         if v:
             acc[k] = v
@@ -68,21 +92,64 @@ def lp_add_into(acc, p, s=1, dq=0, dt=0):
 
 def lp_mul(p1, p2):
     acc = {}
-    for (q1, t1), c1 in p1.items():
-        for (q2, t2), c2 in p2.items():
-            k = (q1 + q2, t1 + t2)
-            v = acc.get(k, 0) + c1 * c2
+    get = acc.get
+    for k1, c1 in p1.items():
+        for k2, c2 in p2.items():
+            k = k1 + k2
+            v = get(k, 0) + c1 * c2
             if v:
                 acc[k] = v
             else:
                 del acc[k]
     return acc
 
+def _box(p):
+    """(min iq, max iq, min it, max it) over the keys of p."""
+    qs, ts = zip(*map(_unkey, p))
+    return min(qs), max(qs), min(ts), max(ts)
+
+def lp_divexact(num, den):
+    """The exact quotient num / den of lattice polys.
+
+    Leading-term elimination in key order, as `scalars.pdivexact` does it:
+    an exact quotient lies in the degree box
+    min_v(num) - min_v(den) <= e_v <= max_v(num) - max_v(den), v = q, t, so
+    the first quotient key outside it, or a coefficient that does not
+    divide, proves the division inexact and raises InexactDivision.
+    """
+    if not num:
+        return {}
+    nq0, nq1, nt0, nt1 = _box(num)
+    dq0, dq1, dt0, dt1 = _box(den)
+    dlead = max(den)
+    dc = den[dlead]
+    rem = dict(num)
+    get = rem.get
+    quo = {}
+    while rem:
+        lead = max(rem)
+        qk = lead - dlead
+        iq, it = _unkey(qk)
+        qc, r = divmod(rem[lead], dc)
+        if r or not (nq0 - dq0 <= iq <= nq1 - dq1
+                     and nt0 - dt0 <= it <= nt1 - dt1):
+            raise InexactDivision(f"quotient term {rem[lead]}/{dc} at "
+                                  f"q^({iq}/L) t^({it}/L) is not exact")
+        quo[qk] = qc
+        for k, c in den.items():
+            k += qk
+            v = get(k, 0) - qc * c
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    return quo
+
 def xp_one(n):
-    return {wt.zero(n): {(0, 0): 1}}
+    return {wt.zero(n): {0: 1}}
 
 def xp_mono(b):
-    return {tuple(b): {(0, 0): 1}}
+    return {tuple(b): {0: 1}}
 
 def xp_add_into(acc, f, scale=None):
     """acc += scale * f in place.  acc owns its coefficient dicts: a new
@@ -103,16 +170,6 @@ def xp_mul(f, g):
         for b2, c2 in g.items():
             xp_add_into(acc, {wt.wt_add(b1, b2): c1}, c2)
     return acc
-
-
-def _add_term(acc, b, w, j, c, s, cq):
-    """acc += s q^{cq j} c X_{b + j w}, in lattice units."""
-    k = tuple(x + j * y for x, y in zip(b, w)) if j else b
-    cur = acc.get(k)
-    if cur is None:
-        acc[k] = lp_shift(c, cq * j, 0, s)
-    elif not lp_add_into(cur, c, s, cq * j):
-        del acc[k]
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +212,11 @@ class Rep:
         out = {}
         for (eq, et, ea), c in p.items():
             iq, it = eq * L, et * L
-            if ea or type(c) is not int or iq != int(iq) or it != int(it):
+            if (ea or type(c) is not int or iq != int(iq) or it != int(it)
+                    or abs(it) > T_LIMIT):
                 raise OffLattice(f"c={c} at q^({eq}) t^({et}) a^({ea}) is "
                                  f"not a lattice term at rank {self.n}")
-            out[(int(iq), int(it))] = c
+            out[_key(int(iq), int(it))] = c
         return out
 
     def xp_to_lattice(self, f):
@@ -174,8 +232,11 @@ class Rep:
     def from_lattice(self, p):
         """A lattice poly as a poly of `scalars`."""
         L = self.L
-        return {(_ex(Fraction(iq, L)), _ex(Fraction(it, L)), 0): c
-                for (iq, it), c in p.items()}
+        out = {}
+        for k, c in p.items():
+            iq, it = _unkey(k)
+            out[(_ex(Fraction(iq, L)), _ex(Fraction(it, L)), 0)] = c
+        return out
 
     # -- generator actions -----------------------------------------------
 
@@ -191,14 +252,14 @@ class Rep:
 
         G_e = 1 + Z + ... + Z^{e-1} for e > 0, -(Z^{-1} + ... + Z^e) for
         e < 0 and G_0 = 0.  T_i^{-1} = T_i - (t^{1/2} - t^{-1/2}) folds into
-        the same pass: it subtracts X_b from the second sum.  A collects the
-        coefficients of t^{1/2} and D those of t^{1/2} - t^{-1/2}, by signs
-        and q-shifts alone; the result is t^{1/2} (A + D) - t^{-1/2} D.
-        In lattice units q^cq is a shift by cq L and t^{1/2} one by n + 1.
+        the same pass: it subtracts X_b from the second sum.  Every term is
+        added straight into the output, shifted by its q-power and by
+        t^{+-1/2}; in lattice units q^cq is a shift by cq L and t^{1/2} one
+        by n + 1.
         """
         w, cq = (self.alphas[i], 0) if i else (self.mtheta, self.L)
         h = self.half
-        A, D = {}, {}
+        out = {}
         for b, c in f.items():
             e = -b[i - 1] if i else sum(b)
             if e > 0:
@@ -206,18 +267,22 @@ class Rep:
             else:
                 js, s = range(e, 0 if sign == 1 else 1), -1
             for j in js:
-                _add_term(D, b, w, j, c, s, cq)
-            _add_term(A, b, w, e, c, 1, cq)
-        out = {}
-        for b, d in D.items():
-            a = A.pop(b, None)
-            v = lp_shift(d, 0, -h, -1)
-            if a is not None:
-                lp_add_into(d, a)
-            if lp_add_into(v, d, 1, 0, h):
-                out[b] = v
-        for b, a in A.items():
-            out[b] = lp_shift(a, 0, h)
+                k = tuple(x + j * y for x, y in zip(b, w)) if j else b
+                up, dn = _key(j * cq, h), _key(j * cq, -h)
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = {key + up: s * v for key, v in c.items()}
+                else:
+                    _add_into(acc, c, up, s)
+                if not _add_into(acc, c, dn, -s):
+                    del out[k]
+            k = tuple(x + e * y for x, y in zip(b, w)) if e else b
+            d = _key(e * cq, h)
+            acc = out.get(k)
+            if acc is None:
+                out[k] = {key + d: v for key, v in c.items()}
+            elif not _add_into(acc, c, d):
+                del out[k]
         return out
 
     def pi_op(self, r, f, sign=1):
@@ -269,7 +334,7 @@ class Rep:
         row = self._rho_row
         out = {}
         for b, c in f.items():
-            lp_add_into(out, c, 1, 0, -sum(x * y for x, y in zip(row, b)))
+            lp_add_into(out, c, 0, -sum(x * y for x, y in zip(row, b)))
         return out
 
     # -- tau-letter images -----------------------------------------------

@@ -17,12 +17,12 @@ from . import weights as wt
 from .scalars import (
     Scal, FactoredBinomial, InexactDivision, hat_normalize, pone, padd_into,
     psub, pmul, ppow, pdivexact, psubstitute, poly_text, series_divide,
-    binomial_fb,
+    binomial_fb, atom_expand_cached,
 )
 from .weights import RankTooSmall
 from .daha import (
     get_rep, xp_one, xp_mul, word_of_rs, gamma_hat_project, _core_project,
-    apply_weights,
+    apply_weights, lp_mul, lp_divexact,
 )
 from .macdonald import get_mac
 from .links import (
@@ -101,19 +101,39 @@ def _apply_fY(rep, f, g, sign=1):
     return apply_weights(rep, f, rep.y_steps, g)
 
 
-def _div_j_eval(val, rank, lam):
-    """val over J_lam at the coinvariant point, h_lam P_lam(q^{-rho_k}):
-    times the P_eval denominator, divided by h_lam times its numerator,
-    once the atoms they share are cancelled."""
-    if not lam:
-        return val
+@lru_cache(maxsize=None)
+def _lattice_norm(rank, lam):
+    """J_lam(q^{-rho_k}) = h_lam P_lam(q^{-rho_k}) as a lattice divisor,
+    its numerator and denominator cancelled against each other:
+    (factor, atoms).  Dividing by it is multiplying by `factor`, the
+    denominator over the numerator's unit and monomial, and then dividing
+    exactly by each of `atoms`, the numerator's atoms in lattice form."""
+    rep = get_rep(rank)
     num, den = get_mac(rank).P_eval(lam)
     num, den = wt.h_lambda(lam).mul(num).cancel(den)
-    return val.mul(Scal(den.expand())).div(num)
+    inv = FactoredBinomial(1 / num.coeff, (-num.key[0], -num.key[1], 0))
+    factor = rep.to_lattice(den.mul(inv).expand())
+    atoms = tuple(rep.to_lattice(atom_expand_cached(a)) for a in num.atoms)
+    return factor, atoms
+
+
+def _div_j_eval(p, rank, lam):
+    """p, a coinvariant value in lattice form, over J_lam at the coinvariant
+    point: times the P_eval denominator, then divided exactly, in lattice
+    units, by each atom left of h_lam times the P_eval numerator.  A value
+    that one of them does not divide raises InexactDivision."""
+    if not lam:
+        return p
+    factor, atoms = _lattice_norm(rank, lam)
+    p = lp_mul(p, factor)
+    for a in atoms:
+        p = lp_divexact(p, a)
+    return p
 
 
 def jd_raw(pair, rank, norm="min"):
-    """The coinvariant value divided by the normalization, as a Scal."""
+    """The coinvariant value divided by the normalization, as a poly of
+    `scalars`."""
     if pair.twist is not None:
         pair = lower_twist(pair)
     lam = norm_diagram(pair, norm)
@@ -122,8 +142,7 @@ def jd_raw(pair, rank, norm="min"):
     if pair.second is not None:
         g = pre_polynomial(pair.second, rank)
         f = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
-    val = Scal(rep.from_lattice(rep.coinvariant(f)))
-    return _div_j_eval(val, rank, lam)
+    return rep.from_lattice(_div_j_eval(rep.coinvariant(f), rank, lam))
 
 
 @dataclass(frozen=True)
@@ -135,8 +154,7 @@ class RankInvariant:
 
 
 def jd(pair, rank, norm="min"):
-    val = jd_raw(pair, rank, norm)
-    poly, shift = hat_normalize(val.as_poly())
+    poly, shift = hat_normalize(jd_raw(pair, rank, norm))
     return RankInvariant(rank, poly, shift, norm)
 
 

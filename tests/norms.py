@@ -4,7 +4,9 @@ The package evaluates only P_lambda in closed form (`Mac.P_eval`, the
 divisor of `jd_raw`).  Tests check E and P against independent routes:
 E_b(q^{-rho_k}) from the Lambda_b^+ products, the spherical norm from its
 finite product and its a-stable form, and the truncated constant-term
-mu-pairing that all of them must agree with.
+mu-pairing that all of them must agree with.  `div_j_eval_scal` is the
+Scal route of the normalization divide, the oracle of the lattice route
+`pipeline._div_j_eval`.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from dahalink import weights as wt
 from dahalink.scalars import (Scal, FactoredBinomial, pmono, pone, pmul,
                               padd_into, pscale, _ex, _cyclo_coeffs,
                               binomial_fb)
-from dahalink.macdonald import _rho_weight
+from dahalink.macdonald import _rho_weight, get_mac
 from scal_xpoly import xp_one, xp_add_into, xp_scale, xp_mul
 from weyl import eval_products
 
@@ -30,6 +32,18 @@ def E_eval(mac, b):
     num, den = eval_products(b)
     t_shift = -wt.pairing(b_plus, _rho_weight(mac.n))
     return ratio_scal(num, den, t_shift)
+
+
+def div_j_eval_scal(val, rank, lam):
+    """The Scal val over J_lam at the coinvariant point, h_lam
+    P_lam(q^{-rho_k}): times the P_eval denominator, divided by h_lam times
+    its numerator, once the atoms they share are cancelled.  An atom that
+    does not divide the value stays in the denominator."""
+    if not lam:
+        return val
+    num, den = get_mac(rank).P_eval(lam)
+    num, den = wt.h_lambda(lam).mul(num).cancel(den)
+    return val.mul(Scal(den.expand())).div(num)
 
 
 def P_spherical(mac, lam):

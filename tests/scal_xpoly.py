@@ -83,5 +83,5 @@ def apply_linear(rep, op, f):
     """op, a linear map of lattice XPolys, applied to the Scal XPoly f."""
     out = {}
     for b, c in f.items():
-        xp_add_into(out, to_scal(rep, op({b: {(0, 0): 1}})), c)
+        xp_add_into(out, to_scal(rep, op(rep.xp_to_lattice(xp_mono(b)))), c)
     return out

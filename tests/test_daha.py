@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dahalink import weights as wt
-from dahalink.scalars import (Scal, hat_normalize, poly_text, pmono,
-                              padd_into)
+from dahalink.scalars import (Scal, InexactDivision, hat_normalize,
+                              poly_parse, poly_text, pmono, padd_into)
 from dahalink.daha import (
-    get_rep, xp_one, xp_mono, xp_add_into, NotCoprime, OffLattice,
-    word_matrix, word_of_rs, gamma_hat_project, _core_project,
+    get_rep, xp_one, xp_mono, xp_add_into, NotCoprime, OffLattice, T_LIMIT,
+    lp_divexact, word_matrix, word_of_rs, gamma_hat_project, _core_project,
 )
+from dahalink.macdonald import get_mac
 from factoring import scal_inv
 import scal_xpoly as sx
 from scal_xpoly import HALF, minus_rho_k, to_scal
@@ -24,7 +25,7 @@ T_DIFF = T_HALF.sub(Scal.mono(et=-HALF))    # t^{1/2} - t^{-1/2}
 
 def t_diff(rep):
     """t^{1/2} - t^{-1/2} as a lattice poly."""
-    return {(0, rep.half): 1, (0, -rep.half): -1}
+    return rep.to_lattice(T_DIFF.num)
 
 
 def scal_of(rep, p):
@@ -34,6 +35,7 @@ def scal_of(rep, p):
 
 def basket(n, seed):
     """A few deterministic 'random' lattice XPolys of rank n."""
+    rep = get_rep(n)
     out = []
     ws = list(itertools.product(*[range(-2, 3)] * n))
     for s in range(3):
@@ -41,14 +43,14 @@ def basket(n, seed):
         for j, b in enumerate(ws):
             c = ((seed + s) * 31 + j * 17) % 7 - 3
             if c:
-                f[b] = {(0, 0): c}
+                f[b] = rep.to_lattice(pmono(c=c))
         out.append(f)
     return out
 
 
 def x_plus_xinv():
     """X + X^{-1} at rank 1, as a lattice XPoly."""
-    return {(1,): {(0, 0): 1}, (-1,): {(0, 0): 1}}
+    return get_rep(1).xp_to_lattice({(1,): Scal.one(), (-1,): Scal.one()})
 
 
 def t_op_by_division(rep, i, f, sign=1):
@@ -96,14 +98,22 @@ def _div_binomial(g, w, cq):
     return quo
 
 
+# lattice t-exponents at the packing bound, and q-exponents far beyond it
+EDGE_T = (T_LIMIT, T_LIMIT - 1, -T_LIMIT, 1 - T_LIMIT)
+FAR_Q = (1 << 40, -(1 << 40) - 1)
+
+
 @st.composite
 def lattice_polys(draw, n, max_terms=2):
     """Small random polys of `scalars` whose q- and t-exponents are in
-    steps of 1/(2(n+1)), the lattice of rank n."""
+    steps of 1/(2(n+1)), the lattice of rank n, a few of them at the edge
+    of what a lattice poly can hold."""
     num = {}
     for _ in range(draw(st.integers(1, max_terms))):
-        eq = Fraction(draw(st.integers(-12, 12)), 2 * (n + 1))
-        et = Fraction(draw(st.integers(-12, 12)), 2 * (n + 1))
+        iq = draw(st.integers(-12, 12) | st.sampled_from(FAR_Q))
+        it = draw(st.integers(-12, 12) | st.sampled_from(EDGE_T))
+        eq = Fraction(iq, 2 * (n + 1))
+        et = Fraction(it, 2 * (n + 1))
         padd_into(num, pmono(eq, et, 0, draw(st.integers(-3, 3))))
     return num
 
@@ -117,9 +127,13 @@ def test_lattice_round_trip(n, data):
     integer)."""
     rep = get_rep(n)
     p = data.draw(lattice_polys(n, max_terms=5))
-    back = rep.from_lattice(rep.to_lattice(p))
+    lat = rep.to_lattice(p)
+    back = rep.from_lattice(lat)
     assert back == p
     assert poly_text(back) == poly_text(p)
+    # key order is lex order on the exponents
+    ordered = [k for key in sorted(lat) for k in rep.from_lattice({key: 1})]
+    assert ordered == sorted(p)
 
 
 def test_off_lattice_raises():
@@ -127,7 +141,9 @@ def test_off_lattice_raises():
     for p in ({(0, 0, 0): Fraction(1, 2)},          # a coefficient with
               {(Fraction(1, 3), 0, 0): 1},          # a denominator, and
               {(0, Fraction(1, 8), 0): 1},          # exponents off the
-              {(0, 0, 1): 1}):                      # lattice
+              {(0, 0, 1): 1},                       # lattice, or beyond
+              {(0, Fraction(T_LIMIT + 1, 4), 0): 1},     # its packing
+              {(0, Fraction(-T_LIMIT - 1, 4), 0): 1}):   # bound
         with pytest.raises(OffLattice):
             rep.to_lattice(p)
         with pytest.raises(OffLattice):
@@ -135,6 +151,22 @@ def test_off_lattice_raises():
     # a coefficient with a denominator atom
     with pytest.raises(OffLattice):
         rep.xp_to_lattice({(1,): Scal({(0, 0, 0): 1}, (('c', 1, 1, 1),))})
+
+
+def test_lp_divexact_stops_on_its_degree_box():
+    """An exact quotient comes back; a division that is not exact raises
+    when its quotient leaves the degree box, also where lex order alone
+    leaves infinitely many keys to try (1 + q^-1 over 1 - t)."""
+    rep = get_rep(1)
+
+    def lat(text):
+        return rep.to_lattice(poly_parse(text))
+
+    assert lp_divexact(lat("1 - t^2"), lat("1 - t")) == lat("1 + t")
+    for num, den in (("1 + q^-1", "1 - t"), ("1 + t", "1 - t"),
+                     ("2 + 2*t", "3 + 3*t")):
+        with pytest.raises(InexactDivision):
+            lp_divexact(lat(num), lat(den))
 
 
 @st.composite
@@ -253,6 +285,25 @@ def test_y_inverse():
     f = basket(2, 7)[2]
     g = rep.y_op((1, 1), rep.y_op((-1, -1), f))
     assert g == f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tau_minus_power_is_the_y_gaussian(n):
+    """tau_-^k acts on J_lam by the Y-Gaussian eigenvalue
+    (q^{-(lam,lam)/2} t^{-(lam,rho)})^k: T_i, pi_r, the tau-images and the
+    J seam checked together, without goldens."""
+    rep = get_rep(n)
+    for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (1, 1, 1)]:
+        if len(lam) > n:
+            continue
+        b = wt.to_weight(lam, n)
+        J = rep.xp_to_lattice(get_mac(n).J(lam))
+        for k in (1, -1, 2, -2, 3):
+            word = (('-', 1 if k > 0 else -1),) * abs(k)
+            eigen = rep.to_lattice(pmono(Fraction(-k * wt.pairing(b, b), 2),
+                                         -k * wt.pairing(b, (1,) * n)))
+            assert (gamma_hat_project(word, J, rep)
+                    == xp_add_into({}, J, eigen)), (lam, k)
 
 
 def test_coinvariant():

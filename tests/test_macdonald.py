@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dahalink import weights as wt
-from dahalink.scalars import (Scal, FactoredBinomial, pmul, pone,
+from dahalink.scalars import (Scal, FactoredBinomial, pmul, pmono, pone,
                               psubstitute, atom_expand_cached, poly_parse,
                               binomial_fb, _ex)
 from dahalink import daha
@@ -152,7 +152,7 @@ def test_E_refuses_a_non_triangular_Y(monkeypatch):
     m = Mac(1)
     y_op = m.rep.y_op
     partner = {(0,): (-2,), (-2,): (0,)}
-    q7 = {(7 * m.rep.L, 0): 1}              # q^7 as a lattice poly
+    q7 = m.rep.to_lattice(pmono(eq=7))      # q^7 as a lattice poly
 
     def planted(om, f):
         out = y_op(om, f)
