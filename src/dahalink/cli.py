@@ -27,7 +27,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         pair = parse_dsl(args.link)
-    except (SyntaxError, ValueError, KeyError, TypeError) as e:
+    except (SyntaxError, ValueError) as e:
         ap.error(f"bad link: {e}")
     if args.command == "super":
         sup = superpolynomial(pair, args.norm)

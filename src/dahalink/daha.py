@@ -9,10 +9,12 @@ Every exponent the operators below produce lies on that lattice (the
 pairing of two weights has denominator n+1, and T_i brings t^{+-1/2}), and
 no coefficient has a denominator, so the operators never meet a Fraction
 or a Scal.  The key layout is private to this module:
-`Rep.to_lattice` / `Rep.xp_to_lattice` and `Rep.from_lattice` are the seams
-to the rational-key polys of `scalars`; off-lattice input, or a t-exponent
-beyond T_LIMIT lattice units, raises OffLattice.  `lp_divexact` divides
-lattice polys exactly, for the normalization of a coinvariant value.
+`Rep.to_lattice` and `Rep.from_lattice` are the seams to the rational-key
+polys of `scalars`; off-lattice input, or a t-exponent beyond T_LIMIT
+lattice units, raises OffLattice.  A factored divisor enters lattice form
+once, through `Rep.divisor`, and `lp_divide` divides by it exactly: the
+symmetrized numerators by the denominator of Macdonald's J, and a
+coinvariant value by its normalization.
 
 Operators act through Atom sequences:
 
@@ -38,14 +40,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import InexactDivision, _ex
+from .scalars import (InexactDivision, FactoredBinomial, _ex,
+                      atom_expand_cached)
 from . import weights as wt
 
 
 class OffLattice(ValueError):
-    """A coefficient with a denominator, or an exponent off the lattice of
-    the rank's unit 1/(2(n+1)) or beyond the packing bound, where the
-    operators need a lattice poly."""
+    """A non-integer coefficient, or an exponent off the lattice of the
+    rank's unit 1/(2(n+1)) or beyond the packing bound, where the operators
+    need a lattice poly."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +148,16 @@ def lp_divexact(num, den):
                 del rem[k]
     return quo
 
+def lp_divide(p, divisor):
+    """p over a lattice divisor (factor, atoms) of `Rep.divisor`: times
+    factor, then divided exactly by each atom.  An atom that does not
+    divide raises InexactDivision."""
+    factor, atoms = divisor
+    p = lp_mul(p, factor)
+    for a in atoms:
+        p = lp_divexact(p, a)
+    return p
+
 def xp_one(n):
     return {wt.zero(n): {0: 1}}
 
@@ -219,15 +232,17 @@ class Rep:
             out[_key(int(iq), int(it))] = c
         return out
 
-    def xp_to_lattice(self, f):
-        """An XPoly with Scal coefficients, each a poly, in lattice form."""
-        out = {}
-        for b, c in f.items():
-            if c.den:
-                raise OffLattice(f"coefficient of X_{b} has the denominator "
-                                 f"{c.den}")
-            out[b] = self.to_lattice(c.num)
-        return out
+    def divisor(self, num, den):
+        """num / den, FactoredBinomials, as a lattice divisor (factor,
+        atoms) for `lp_divide`, once the atoms they share are cancelled:
+        `factor` is den over num's unit and monomial, and `atoms` are num's
+        atoms."""
+        num, den = num.cancel(den)
+        inv = FactoredBinomial(1 / num.coeff, (-num.key[0], -num.key[1], 0))
+        factor = self.to_lattice(den.mul(inv).expand())
+        atoms = tuple(self.to_lattice(atom_expand_cached(a))
+                      for a in num.atoms)
+        return factor, atoms
 
     def from_lattice(self, p):
         """A lattice poly as a poly of `scalars`."""

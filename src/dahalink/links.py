@@ -219,16 +219,47 @@ class _Parser:
         return LinkPair(first, second, vee, twist)
 
 
+def _json_ints(v, what, size=None):
+    """v as a tuple of ints; anything else raises SyntaxError."""
+    if (type(v) is not list or any(type(x) is not int for x in v)
+            or size is not None and len(v) != size):
+        count = "" if size is None else f"{size} "
+        raise SyntaxError(f"{what} must be a list of {count}integers, "
+                          f"not {v!r}")
+    return tuple(v)
+
+
+def _json_path(p):
+    if type(p) is not dict or "labels" not in p or "color" not in p:
+        raise SyntaxError(f"a path needs labels and a color, not {p!r}")
+    if type(p["labels"]) is not list:
+        raise SyntaxError(f"labels must be a list, not {p['labels']!r}")
+    share = p.get("share", 0)
+    if type(share) is not int:
+        raise SyntaxError(f"share must be an integer, not {share!r}")
+    return Path(tuple(_json_ints(l, "a label", 2) for l in p["labels"]),
+                _json_ints(p["color"], "a color"), share)
+
+
 def _from_json(obj):
-    comps = [ColoredForest(tuple(
-        Path(tuple(map(tuple, p["labels"])), tuple(p["color"]),
-             p.get("share", 0)) for p in comp))
-        for comp in obj["components"]]
+    """The JSON form of `to_json` as a LinkPair; a field of the wrong shape
+    raises SyntaxError."""
+    if type(obj) is not dict or type(obj.get("components")) is not list:
+        raise SyntaxError("a JSON link is an object with a list of "
+                          "components")
+    comps = []
+    for comp in obj["components"]:
+        if type(comp) is not list:
+            raise SyntaxError(f"a component is a list of paths, not {comp!r}")
+        comps.append(ColoredForest(tuple(map(_json_path, comp))))
     if not 1 <= len(comps) <= 2:
         raise SyntaxError("need one or two components")
-    return LinkPair(comps[0], comps[1] if len(comps) > 1 else None,
-                    bool(obj.get("vee")),
-                    tuple(obj["twist"]) if obj.get("twist") else None)
+    vee = obj.get("vee", False)
+    if type(vee) is not bool:
+        raise SyntaxError(f"vee must be true or false, not {vee!r}")
+    twist = obj.get("twist")
+    return LinkPair(comps[0], comps[1] if len(comps) > 1 else None, vee,
+                    None if twist is None else _json_ints(twist, "twist", 2))
 
 
 def parse_dsl(text):

@@ -10,14 +10,16 @@ reaches (a dependency cycle means Y is not triangular):
 All divisions are by monomial differences lam_b - lam_c, i.e. by binomial
 atoms, so coefficients stay inside the restricted fraction ring of `scalars`.
 
-P_lambda comes from Hecke-symmetrizing E (the symmetrizer factors through
-parabolic coset sums, so |W| never appears), J = h_lambda P, and the closed
-evaluation P_lambda(q^{-rho_k}) is a product over pairs of b's epsilon
-coordinates.
+J_lambda = h_lambda P_lambda comes from Hecke-symmetrizing E (the
+symmetrizer factors through parabolic coset sums, so |W| never appears),
+and the closed evaluation P_lambda(q^{-rho_k}) is a product over pairs of
+b's epsilon coordinates.
 
-E, P and J keep Scal coefficients.  They reach the operators of `daha`,
-which act on lattice XPolys, by linearity: the Y-columns act on monomials,
-and the symmetrizer acts on E's numerators over one common denominator.
+E and P keep Scal coefficients; J is a lattice XPoly, the form the
+operators of `daha` act on.  E reaches them by linearity: the Y-columns act
+on monomials, and the symmetrizer acts on E's numerators over one common
+denominator.  J divides those numerators by one factored divisor, so it
+never passes through a Scal.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from graphlib import CycleError, TopologicalSorter
 from .scalars import (Scal, _ex, binomial_fb, FactoredBinomial, pmul,
                       atom_expand_cached)
 from . import weights as wt
-from .daha import get_rep, xp_mono, xp_add_into, lp_shift
+from .daha import get_rep, xp_mono, xp_add_into, lp_shift, lp_divide
 
 
 class EigenvalueCollision(Exception):
@@ -101,7 +103,6 @@ class Mac:
         self.n = n
         self.rep = get_rep(n)
         self._E = {}
-        self._P = {}
         self._J = {}
         self._eval = {}
 
@@ -182,9 +183,10 @@ class Mac:
     def symmetrize(self, f):
         """Apply the Hecke symmetrizer sum_w t^{l(w)/2} T_w via coset sums.
 
-        f's Scal coefficients are put over one common denominator; the coset
-        sums act on the numerators in lattice form, and each coefficient of
-        the result is its numerator over that denominator.
+        f's Scal coefficients are put over one common denominator, and the
+        coset sums act on the numerators in lattice form.  Returns those
+        numerators as a lattice XPoly together with the denominator, a
+        FactoredBinomial of atoms.
         """
         rep = self.rep
         den = Counter()
@@ -206,31 +208,39 @@ class Mac:
                        for b, c in rep.t_op(i, cur).items()}
                 xp_add_into(acc, cur)
             lat = acc
-        den = tuple(den.elements())
-        return {b: Scal(rep.from_lattice(c), den) for b, c in lat.items()}
+        return lat, FactoredBinomial(1, (0, 0, 0), den.elements())
 
-    def P(self, lam):
-        """Monic P_lambda: symmetrize(E_b) over its coefficient at X_b.
+    def J(self, lam):
+        """Integral J_lambda = h_lambda P_lambda as a lattice XPoly.
 
-        That coefficient is the Poincare polynomial of the stabilizer of b
-        in S_{n+1}, the product of [m]_t! over the multiplicities m of b's
-        epsilon coordinates (`weights.poincare`).  The divisor is built in
-        that factored form and checked against the computed coefficient.
+        Monic P_lambda is symmetrize(E_b) over its coefficient at X_b, the
+        Poincare polynomial of the stabilizer of b in S_{n+1}: the product
+        of [m]_t! over the multiplicities m of b's epsilon coordinates
+        (`weights.poincare`).  So J is the symmetrized numerators over one
+        factored divisor, poincare(b) den / h_lambda.  The numerator at X_b
+        is checked against poincare(b) den; J is integral, so an atom of
+        the divisor that does not divide raises InexactDivision.
         """
         lam = tuple(lam)
-        hit = self._P.get(lam)
-        if hit is not None:
-            return hit
-        b = wt.to_weight(lam, self.n)
-        raw = self.symmetrize(self.E(b))
-        lead = wt.poincare(b)
-        if raw.get(b) != Scal(lead.expand()):
-            raise NotMonic(f"symmetrize(E_{b}) has {raw.get(b)} at X_{b}, "
-                           f"not the stabilizer's {lead}")
-        inv = Scal.one().div(lead)
-        out = {c: v.mul(inv) for c, v in raw.items()}
-        self._P[lam] = out
-        return out
+        hit = self._J.get(lam)
+        if hit is None:
+            b = wt.to_weight(lam, self.n)
+            lat, den = self.symmetrize(self.E(b))
+            stab = wt.poincare(b)
+            lead = stab.mul(den)
+            if lat.get(b) != self.rep.to_lattice(lead.expand()):
+                raise NotMonic(f"symmetrize(E_{b}) at X_{b} is not the "
+                               f"stabilizer's {stab}")
+            div = self.rep.divisor(lead, wt.h_lambda(lam))
+            hit = self._J[lam] = {c: lp_divide(v, div)
+                                  for c, v in lat.items()}
+        return hit
+
+    def P(self, lam):
+        """Monic P_lambda = J_lambda / h_lambda, with Scal coefficients."""
+        h = wt.h_lambda(lam)
+        return {c: Scal(self.rep.from_lattice(v)).div(h)
+                for c, v in self.J(lam).items()}
 
     def P_eval(self, lam):
         """Closed-form P_lambda(q^{-rho_k}) as (num, den) FactoredBinomials,
@@ -252,15 +262,6 @@ class Mac:
             shift = -wt.pairing(b, _rho_weight(self.n))
             hit = (num.mul(FactoredBinomial(1, (0, shift, 0))), den)
             self._eval[lam] = hit
-        return hit
-
-    def J(self, lam):
-        lam = tuple(lam)
-        hit = self._J.get(lam)
-        if hit is None:
-            h = Scal(wt.h_lambda(lam).expand())
-            hit = {c: v.mul(h) for c, v in self.P(lam).items()}
-            self._J[lam] = hit
         return hit
 
 

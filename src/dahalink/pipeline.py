@@ -17,12 +17,12 @@ from . import weights as wt
 from .scalars import (
     Scal, FactoredBinomial, InexactDivision, hat_normalize, pone, padd_into,
     psub, pmul, ppow, pdivexact, psubstitute, poly_text, series_divide,
-    binomial_fb, atom_expand_cached,
+    binomial_fb,
 )
 from .weights import RankTooSmall
 from .daha import (
     get_rep, xp_one, xp_mul, word_of_rs, gamma_hat_project, _core_project,
-    apply_weights, lp_mul, lp_divexact,
+    apply_weights, lp_divide,
 )
 from .macdonald import get_mac
 from .links import (
@@ -53,9 +53,7 @@ def pre_polynomial(forest, rank):
     paths = forest.paths
 
     def factor(lam):
-        if not lam:
-            return xp_one(rank)
-        return _lattice_J(rank, lam)
+        return get_mac(rank).J(lam) if lam else xp_one(rank)
 
     def block(lo, hi, depth):
         out = None
@@ -79,14 +77,6 @@ def pre_polynomial(forest, rank):
     return block(0, len(paths) - 1, 0)
 
 
-@lru_cache(maxsize=None)
-def _lattice_J(rank, lam):
-    """mac.J(lam) in lattice form: the seam where J enters the operators.
-    A coefficient with a denominator or an off-lattice exponent raises
-    `daha.OffLattice`."""
-    return get_rep(rank).xp_to_lattice(get_mac(rank).J(lam))
-
-
 # ---------------------------------------------------------------------------
 # fixed-rank invariants
 
@@ -103,32 +93,17 @@ def _apply_fY(rep, f, g, sign=1):
 
 @lru_cache(maxsize=None)
 def _lattice_norm(rank, lam):
-    """J_lam(q^{-rho_k}) = h_lam P_lam(q^{-rho_k}) as a lattice divisor,
-    its numerator and denominator cancelled against each other:
-    (factor, atoms).  Dividing by it is multiplying by `factor`, the
-    denominator over the numerator's unit and monomial, and then dividing
-    exactly by each of `atoms`, the numerator's atoms in lattice form."""
-    rep = get_rep(rank)
+    """J_lam(q^{-rho_k}) = h_lam P_lam(q^{-rho_k}) as a lattice divisor
+    (`daha.Rep.divisor`)."""
     num, den = get_mac(rank).P_eval(lam)
-    num, den = wt.h_lambda(lam).mul(num).cancel(den)
-    inv = FactoredBinomial(1 / num.coeff, (-num.key[0], -num.key[1], 0))
-    factor = rep.to_lattice(den.mul(inv).expand())
-    atoms = tuple(rep.to_lattice(atom_expand_cached(a)) for a in num.atoms)
-    return factor, atoms
+    return get_rep(rank).divisor(wt.h_lambda(lam).mul(num), den)
 
 
 def _div_j_eval(p, rank, lam):
     """p, a coinvariant value in lattice form, over J_lam at the coinvariant
-    point: times the P_eval denominator, then divided exactly, in lattice
-    units, by each atom left of h_lam times the P_eval numerator.  A value
-    that one of them does not divide raises InexactDivision."""
-    if not lam:
-        return p
-    factor, atoms = _lattice_norm(rank, lam)
-    p = lp_mul(p, factor)
-    for a in atoms:
-        p = lp_divexact(p, a)
-    return p
+    point.  A value that the divisor's atoms do not divide raises
+    InexactDivision."""
+    return lp_divide(p, _lattice_norm(rank, lam)) if lam else p
 
 
 def jd_raw(pair, rank, norm="min"):
@@ -430,7 +405,7 @@ def _check_lifts(pair, rank, norm, sup):
     r, s = labels[0]
     w = word_of_rs(r, s)
     alt = (('+', 1), ('+', -1)) + w + (('+', 1), ('+', -1))
-    probe = _lattice_J(rank, (1,))
+    probe = get_mac(rank).J((1,))
     ok = gamma_hat_project(w, probe, rep) == _core_project(alt, probe, rep)
     return {"ok": ok, "word": w, "base": poly_text(base)}
 

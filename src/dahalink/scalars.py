@@ -3,13 +3,14 @@
 Three layers:
 
   * plain sparse Laurent "polys": dict mapping (e_q, e_t, e_a) -> Fraction|int,
-    exponents integers or Fractions.  The rank-n operators of `daha` and
-    the normalization divide of a rank value do not use them: they act on
-    lattice polys with integer exponents in the unit 1/(2(n+1)).  Fraction
-    exponents now arise only in `Mac` (E, P, J and the factored evaluation
-    P_lambda(q^{-rho_k})), at the seams where J and that evaluation enter
-    lattice form, and in the normalized rank value, which leaves lattice
-    form once, just before `hat_normalize`;
+    exponents integers or Fractions.  The rank-n operators of `daha`,
+    Macdonald's J and the normalization divide of a rank value do not use
+    them: they act on lattice polys with integer exponents in the unit
+    1/(2(n+1)).  Fraction exponents now arise only in `Mac`'s E and P and
+    its factored evaluation P_lambda(q^{-rho_k}), at the seams where E's
+    numerators and the factored divisors enter lattice form, and in the
+    normalized rank value, which leaves lattice form once, just before
+    `hat_normalize`;
   * Scal: a poly over a product of atoms.  A Scal never factors its
     numerator: it divides only by a FactoredBinomial, whose atoms join the
     denominator, and an atom leaves the denominator when it divides the

@@ -1,14 +1,16 @@
-"""XPolys with Scal coefficients, as `Mac` returns E, P and J.
+"""XPolys with Scal coefficients, as `Mac` returns E and P.
 
-The operators of `daha` act on lattice XPolys.  The oracles and checks in
-the tests work on Scal XPolys with the helpers below; `to_scal` reads a
-lattice XPoly back, and `apply_linear` applies an operator to a Scal XPoly
-by linearity, one monomial at a time.
+The operators of `daha` act on lattice XPolys, and `Mac.J` is one.  The
+oracles and checks in the tests work on Scal XPolys with the helpers below;
+`xp_to_lattice` and `to_scal` convert between the two forms, `apply_linear`
+applies an operator to a Scal XPoly by linearity, one monomial at a time,
+and `j_scal` builds J_lambda by Scal division, the oracle of `Mac.J`.
 """
 
 from fractions import Fraction
 
 from dahalink import weights as wt
+from dahalink.daha import OffLattice
 from dahalink.scalars import Scal
 
 HALF = Fraction(1, 2)
@@ -74,6 +76,18 @@ def xp_eval(f, point):
     return acc
 
 
+def xp_to_lattice(rep, f):
+    """A Scal XPoly of rank rep.n, each coefficient a poly, in lattice
+    form; a coefficient with a denominator raises OffLattice."""
+    out = {}
+    for b, c in f.items():
+        if c.den:
+            raise OffLattice(f"coefficient of X_{b} has the denominator "
+                             f"{c.den}")
+        out[b] = rep.to_lattice(c.num)
+    return out
+
+
 def to_scal(rep, f):
     """A lattice XPoly of rank rep.n as a Scal XPoly."""
     return {b: Scal(rep.from_lattice(c)) for b, c in f.items()}
@@ -83,5 +97,17 @@ def apply_linear(rep, op, f):
     """op, a linear map of lattice XPolys, applied to the Scal XPoly f."""
     out = {}
     for b, c in f.items():
-        xp_add_into(out, to_scal(rep, op(rep.xp_to_lattice(xp_mono(b)))), c)
+        xp_add_into(out, to_scal(rep, op(xp_to_lattice(rep, xp_mono(b)))), c)
     return out
+
+
+def j_scal(mac, lam):
+    """J_lambda as a Scal XPoly, by Scal division: each symmetrized
+    numerator over the common denominator, divided by the stabilizer's
+    Poincare product and multiplied by h_lambda."""
+    b = wt.to_weight(lam, mac.n)
+    lat, den = mac.symmetrize(mac.E(b))
+    inv = Scal.one().div(wt.poincare(b))
+    h = Scal(wt.h_lambda(lam).expand())
+    return {c: Scal(mac.rep.from_lattice(v), den.atoms).mul(inv).mul(h)
+            for c, v in lat.items()}

@@ -119,6 +119,22 @@ def test_pair_roundtrip():
         assert parse_dsl(to_json(pair)) == pair
 
 
+@pytest.mark.parametrize("text", [
+    '5', '[1]', 'null', '"abc"', '{"components": 3}',
+    '{"components": [3]}',
+    '{"components": [[{"labels": []}]]}',
+    '{"components": [[{"labels": [], "color": [1], "share": "x"}]]}',
+    '{"components": [[{"labels": [[3]], "color": [1]}]]}',
+    '{"components": [[{"labels": [[3, 2]], "color": ["1"]}]]}',
+    '{"components": [[{"labels": [[3, 2]], "color": [1]}], '
+    '[{"labels": [], "color": [1]}]], "vee": 1}',
+    '{"components": [[{"labels": [[3, 2]], "color": [1]}]], "twist": 2}',
+])
+def test_malformed_json_raises_syntax_error(text):
+    with pytest.raises(SyntaxError):
+        parse_dsl(text)
+
+
 # ---------------------------------------------------------------------------
 # cab parameters and linking numbers
 

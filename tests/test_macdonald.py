@@ -19,7 +19,7 @@ from dahalink.macdonald import (Mac, get_mac, span_weights, NonTerminating,
 from factoring import factored, scal_inv
 from scal_xpoly import (xp_one, xp_mono, xp_add, xp_add_into, xp_eq,
                         xp_eval, xp_scale, to_scal, apply_linear, HALF,
-                        minus_rho_k)
+                        minus_rho_k, xp_to_lattice, j_scal)
 import weyl
 from norms import (E_eval, P_spherical, norm_spherical, norm_stable,
                    ratio_scal, mu_inner_truncated, star_scal, star_xpoly)
@@ -211,15 +211,17 @@ def test_P_rank_guard():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symmetrize_lead_is_stabilizer_poincare(n):
-    """Mac.P divides by the stabilizer's Poincare product; it must equal
-    the coefficient of X_b in symmetrize(E_b), computed here directly."""
+    """Mac.J divides by the stabilizer's Poincare product; it must equal
+    the coefficient of X_b in symmetrize(E_b), its numerator over the
+    common denominator, computed here directly."""
     m = get_mac(n)
     for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1),
                 (2, 1, 1)]:
         if len(lam) > n:
             continue
         b = wt.to_weight(lam, n)
-        lead = m.symmetrize(m.E(b))[b]
+        lat, den = m.symmetrize(m.E(b))
+        lead = Scal(m.rep.from_lattice(lat[b]), den.atoms)
         assert lead == Scal(wt.poincare(b).expand()), (n, lam)
 
 
@@ -283,7 +285,34 @@ def int_coeffs(f):
 @pytest.mark.parametrize("n,lam", [(1, (2,)), (1, (3,)), (2, (2, 1)),
                                    (2, (2, 2))])
 def test_J_integral(n, lam):
-    assert int_coeffs(get_mac(n).J(lam))
+    """The Scal route leaves no denominator, and the lattice J has integer
+    coefficients."""
+    m = get_mac(n)
+    assert int_coeffs(j_scal(m, lam))
+    assert all(type(v) is int for c in m.J(lam).values() for v in c.values())
+
+
+def _colors(boxes):
+    """Every Young diagram with at most `boxes` boxes, the empty one
+    excepted."""
+    def parts(k, top):
+        if not k:
+            yield ()
+        for row in range(min(k, top), 0, -1):
+            for rest in parts(k - row, row):
+                yield (row,) + rest
+    return [lam for k in range(1, boxes + 1) for lam in parts(k, k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_J_matches_the_scal_route(n):
+    """The lattice J, divided by one factored divisor, equals the Scal
+    route's J (divide by the Poincare product, then multiply by h_lam) for
+    every color of at most 4 boxes."""
+    m = get_mac(n)
+    for lam in _colors(4):
+        if len(lam) <= n:
+            assert m.J(lam) == xp_to_lattice(m.rep, j_scal(m, lam)), lam
 
 
 @pytest.mark.parametrize("n,b", [(1, (3,)), (1, (-3,)), (1, (4,)),
@@ -355,7 +384,7 @@ def test_tau_minus_dot_matches_word_action():
     m = get_mac(1)
     rep = get_rep(1)
     f = xp_add(xp_mono((1,)), xp_mono((-1,)))
-    via_word = gamma_hat_project((('-', 1),), rep.xp_to_lattice(f), rep)
+    via_word = gamma_hat_project((('-', 1),), xp_to_lattice(rep, f), rep)
     assert xp_eq(to_scal(rep, via_word), tau_minus_dot(m, f, 1))
 
 
@@ -366,7 +395,7 @@ def test_leading_tau_minus_run_acts_diagonally(n, lam, rs):
     """A leading tau_- run of net exponent m projects as tau_minus_dot(m)."""
     m = get_mac(n)
     rep = get_rep(n)
-    Q = rep.xp_to_lattice(m.J(lam))
+    Q = m.J(lam)
     w = word_of_rs(*rs)
     k = net = 0
     while k < len(w) and w[k][0] == '-':

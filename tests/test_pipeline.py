@@ -23,6 +23,7 @@ from dahalink.daha import (
     get_rep, gamma_hat_project, word_of_rs, xp_add_into, OffLattice,
     lp_add_into, lp_mul,
 )
+from dahalink.macdonald import Mac, get_mac
 from degree import exact_deg_a
 from homfly import rosso_jones
 
@@ -401,22 +402,24 @@ def test_bad_normalization_fails_before_any_rank(norm, monkeypatch):
         pl.jd(pair, 1, norm)
 
 
-@pytest.mark.parametrize("bad", [
-    Scal(poly_parse("1/2")),              # a coefficient with a denominator
-    Scal(poly_parse("1"), (('c', 1, 1, 1),)),
-    Scal(poly_parse("q^(1/3)")),          # off the lattice of unit 1/4
-], ids=["fraction", "atom", "off_lattice"])
-def test_J_seam_refuses_what_the_lattice_cannot_hold(bad, monkeypatch):
-    """Where J enters pre_polynomial, a term the lattice cannot hold raises
-    OffLattice instead of being dropped."""
-    from dahalink.macdonald import Mac
-    monkeypatch.setattr(Mac, "J", lambda self, lam: {(1,): bad})
-    pl._lattice_J.cache_clear()
-    try:
-        with pytest.raises(OffLattice):
-            pl.pre_polynomial(ColoredForest((Path((), (1,)),)), 1)
-    finally:
-        pl._lattice_J.cache_clear()
+@pytest.mark.parametrize("bad,error", [
+    # a coefficient with a denominator
+    ({(1,): Scal(poly_parse("1/2"))}, OffLattice),
+    # an exponent off the lattice of unit 1/4
+    ({(1,): Scal(poly_parse("q^(1/3)"))}, OffLattice),
+    # X_1 + 1/(1 - q t): the lead passes, and the atom does not cancel
+    ({(1,): Scal.one(), (0,): Scal(poly_parse("1"), (('c', 1, 1, 1),))},
+     InexactDivision),
+], ids=["fraction", "off_lattice", "atom"])
+def test_J_seam_refuses_what_the_lattice_cannot_hold(bad, error,
+                                                     monkeypatch):
+    """Where E enters J's lattice form, and where J divides by its
+    factored divisor, a term the lattice cannot hold raises instead of
+    being dropped."""
+    monkeypatch.setattr(Mac, "E", lambda self, b: bad)
+    monkeypatch.setattr(get_mac(1), "_J", {})
+    with pytest.raises(error):
+        pl.pre_polynomial(ColoredForest((Path((), (1,)),)), 1)
 
 
 def test_normalization_divide_plants():
@@ -425,7 +428,7 @@ def test_normalization_divide_plants():
     rank, lam = 2, (2, 1)
     rep = get_rep(rank)
     assert pl._lattice_norm(rank, lam)[1]       # atoms are left to divide
-    j = rep.coinvariant(pl._lattice_J(rank, lam))
+    j = rep.coinvariant(get_mac(rank).J(lam))
     g = rep.to_lattice(poly_parse("q^(1/6) - 2*t^3 + q^2*t^(-1/2)"))
     assert pl._div_j_eval(lp_mul(j, g), rank, lam) == g
     bad = lp_add_into(lp_mul(j, g), rep.to_lattice(poly_parse("1")))
@@ -567,8 +570,9 @@ def test_cli_rank_trefoil(capsys):
 
 
 def test_cli_bad_link():
-    with pytest.raises(SystemExit):
-        main(["super", "{[3,2]->"])
+    for link in ("{[3,2]->", '{"components": [[{"labels": []}]]}'):
+        with pytest.raises(SystemExit):
+            main(["super", link])
 
 
 def test_cli_rank_too_small(capsys):
