@@ -33,6 +33,14 @@ applied last.  The images are composed from the generator images
 with inverse letters obtained by formal inversion (locked by round-trip
 tests), and Y_r = pi_r T_{i_1} ... T_{i_l} along a reduced word for
 u_r = w_0 w_0^r.
+
+A projection gamma-hat(word)(Q)(1) and the Y-pass f(Y) g of a pair are
+sums of f_b O_b g over the weights b of f.  `apply_weights` builds O_b g
+with the image words of O_{omega_r} for dominant b only; every other
+weight is one T_i away from a weight nearer the dominant chamber, by the
+affine Hecke relation between T_i and O_b (Lusztig, J. AMS 2 (1989)),
+which holds on g because T_i g = t^{1/2} g there.  `Rep.y_op` is the plain
+product of Y_{+-omega_r} steps, for any f.
 """
 
 from __future__ import annotations
@@ -118,7 +126,8 @@ def lp_divexact(num, den):
     an exact quotient lies in the degree box
     min_v(num) - min_v(den) <= e_v <= max_v(num) - max_v(den), v = q, t, so
     the first quotient key outside it, or a coefficient that does not
-    divide, proves the division inexact and raises InexactDivision.
+    divide, proves the division inexact and raises InexactDivision; the
+    message says which of the two it was, and prints the box.
     """
     if not num:
         return {}
@@ -134,10 +143,15 @@ def lp_divexact(num, den):
         qk = lead - dlead
         iq, it = _unkey(qk)
         qc, r = divmod(rem[lead], dc)
-        if r or not (nq0 - dq0 <= iq <= nq1 - dq1
-                     and nt0 - dt0 <= it <= nt1 - dt1):
-            raise InexactDivision(f"quotient term {rem[lead]}/{dc} at "
-                                  f"q^({iq}/L) t^({it}/L) is not exact")
+        if r:
+            raise InexactDivision(f"coefficient {rem[lead]} does not divide "
+                                  f"by {dc} at q^({iq}/L) t^({it}/L)")
+        if not (nq0 - dq0 <= iq <= nq1 - dq1
+                and nt0 - dt0 <= it <= nt1 - dt1):
+            raise InexactDivision(
+                f"quotient key q^({iq}/L) t^({it}/L) is outside the degree "
+                f"box q^[{nq0 - dq0}, {nq1 - dq1}] t^[{nt0 - dt0}, "
+                f"{nt1 - dt1}] (L units)")
         quo[qk] = qc
         for k, c in den.items():
             k += qk
@@ -213,9 +227,9 @@ class Rep:
         # L (w_r, w_r)/2 = r (n+1-r): the q-power of the tau-images
         self._c = [None] + [r * (self.n1 - r) for r in range(1, n + 1)]
         self._img_memo = {}
-        # the fundamental steps Y_{+-omega_r} for `apply_weights`
-        self.y_steps = {(r, s): (0, self.y_atoms(r, s))
-                        for r in range(1, self.n1) for s in (1, -1)}
+        # the fundamental steps Y_{omega_r} for `apply_weights`
+        self.y_steps = [None] + [(0, self.y_atoms(r))
+                                 for r in range(1, self.n1)]
 
     # -- the seams to rational-key polys ---------------------------------
 
@@ -340,7 +354,16 @@ class Rep:
         return tuple(('T', i, -1) for i in reversed(word)) + (('P', r, -1),)
 
     def y_op(self, b, f):
-        return apply_weights(self, xp_mono(b), self.y_steps, f)
+        """Y_b f as the product of the fundamental steps Y_{+-omega_r},
+        coordinate n first; it needs nothing of f (`Mac.E` applies it to
+        single monomials X_d)."""
+        for r in range(self.n, 0, -1):
+            l = b[r - 1]
+            if l:
+                atoms = self.y_atoms(r, 1 if l > 0 else -1)
+                for _ in range(abs(l)):
+                    f = self.apply_atoms(atoms, f)
+        return f
 
     # -- coinvariant -----------------------------------------------------
 
@@ -514,43 +537,88 @@ def gamma_hat_project(word, Q, rep):
 def _core_project(word, Q, rep):
     if not word:
         return dict(Q)
-    steps = {}
-    for r in range(1, rep.n1):
-        om = rep.omegas[r]
-        steps[(r, 1)] = rep.image_atom(word, ('X', om))
-        steps[(r, -1)] = rep.image_atom(word, ('X', wt.wt_neg(om)))
-    return apply_weights(rep, Q, steps, xp_one(rep.n))
+    steps = [None] + [rep.image_atom(word, ('X', om)) for om in rep.omegas[1:]]
+    return apply_weights(rep, Q, steps, xp_one(rep.n), 1)
 
 
 # ---------------------------------------------------------------------------
 # polynomials in commuting operators
 
-def apply_weights(rep, f, steps, g):
-    """The sum over b of f_b O_b g, for commuting operators O_b with
-    O_{b+c} = O_b O_c.
+def _xp_add_shifted(acc, f, d, s):
+    """acc += s f, every coefficient shifted by the packed key d, in place;
+    a new weight gets its own coefficient dict."""
+    for b, c in f.items():
+        cur = acc.get(b)
+        if cur is None:
+            acc[b] = {k + d: s * v for k, v in c.items()}
+        elif not _add_into(cur, c, d, s):
+            del acc[b]
 
-    steps[(r, s)] = (eq, atoms) gives the fundamental step O_{s omega_r} =
-    q^{eq/L} atoms.  The atom part of O_b g is built one step from that of a
-    shorter weight (the first nonzero coordinate of b steps last) and
-    memoized; the q-powers add up along the way and scale f_b alone.
+
+def apply_weights(rep, f, steps, g, s):
+    """The sum over b of f_b O_b g, for commuting operators O_b with
+    O_{b+c} = O_b O_c, reached through dominant weights and reflections.
+
+    steps[r] = (eq, atoms) gives the fundamental step O_{omega_r} =
+    q^{eq/L} atoms (steps[0] is unused).  A dominant b is reached from
+    b - omega_r by one step, r its first nonzero coordinate.  Any other b
+    has a coordinate b_i = -k < 0; with b' = s_i b = b + k alpha_i, the
+    affine Hecke relation between O_b and T_i gives
+
+        O_b g = t^{s/2} [T_i^s O_{b'} g
+                 + s (t^{1/2} - t^{-1/2}) sum_{0<j<k} O_{b'-j alpha_i} g],
+
+    provided T_i g = t^{1/2} g for i = 1..n.  The two callers meet that
+    precondition: s = +1 for the tau-images of X acting on g = 1
+    (`_core_project`; the tau's fix T_1..T_n), s = -1 for the Y-steps on a
+    symmetric g (`pipeline._apply_fY`).  The recursion ends: b' is one
+    reflection nearer the dominant chamber, and each b' - j alpha_i lies
+    strictly inside the convex hull of b's Weyl orbit.
+
+    Each O_b g is memoized as a packed q, t monomial times an XPoly.  The
+    weights whose f_b are equal (a symmetric f is constant on each Weyl
+    orbit) have their O_b g summed, each shifted by its monomial, and then
+    multiplied by f_b once.
     """
+    half = _key(0, s * rep.half)          # t^{s/2}
     memo = {wt.zero(rep.n): (0, g)}
 
     def value(b):
         hit = memo.get(b)
         if hit is not None:
             return hit
-        r = next(i + 1 for i, l in enumerate(b) if l)
-        s = 1 if b[r - 1] > 0 else -1
-        prev = list(b)
-        prev[r - 1] -= s
-        e, v = value(tuple(prev))
-        eq, atoms = steps[(r, s)]
-        out = memo[b] = (e + eq, rep.apply_atoms(atoms, v))
+        i = next((i for i, l in enumerate(b, 1) if l < 0), 0)
+        if not i:
+            r = next(i for i, l in enumerate(b, 1) if l)
+            prev = list(b)
+            prev[r - 1] -= 1
+            d, v = value(tuple(prev))
+            eq, atoms = steps[r]
+            out = memo[b] = (d + _key(eq, 0), rep.apply_atoms(atoms, v))
+            return out
+        k = -b[i - 1]
+        alpha = rep.alphas[i]
+        top = tuple(x + k * y for x, y in zip(b, alpha))
+        d, v = value(top)
+        d += half
+        v = rep.t_op(i, v, s)
+        # t^{s/2} s (t^{1/2} - t^{-1/2}) = t^s - 1
+        for j in range(1, k):
+            dj, vj = value(tuple(x - j * y for x, y in zip(top, alpha)))
+            _xp_add_shifted(v, vj, dj - d + 2 * half, 1)
+            _xp_add_shifted(v, vj, dj - d, -1)
+        out = memo[b] = (d, v)
         return out
 
-    out = {}
+    groups = {}
     for b, c in f.items():
-        e, v = value(b)
-        xp_add_into(out, v, lp_shift(c, e) if e else c)
+        d, v = value(b)
+        key = tuple(sorted(c.items()))
+        hit = groups.get(key)
+        if hit is None:
+            hit = groups[key] = (c, {})
+        _xp_add_shifted(hit[1], v, d, 1)
+    out = {}
+    for c, acc in groups.values():
+        xp_add_into(out, acc, c)
     return out

@@ -85,10 +85,14 @@ def _all_colors(pair):
 
 
 def _apply_fY(rep, f, g, sign=1):
-    """f(Y^{-sign}) applied to g, one fundamental Y-step at a time."""
+    """f(Y^{-sign}) applied to g, a pre-polynomial.
+
+    g must be symmetric (T_i g = t^{1/2} g for i = 1..n): `apply_weights`
+    reaches every Y_b with b not dominant by a reflection, which holds only
+    on such g.  `Rep.y_op` is the route for any g."""
     if sign == 1:
         f = {wt.wt_neg(b): c for b, c in f.items()}
-    return apply_weights(rep, f, rep.y_steps, g)
+    return apply_weights(rep, f, rep.y_steps, g, -1)
 
 
 @lru_cache(maxsize=None)

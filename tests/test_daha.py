@@ -159,9 +159,16 @@ def test_lp_divexact_stops_on_its_degree_box():
         return rep.to_lattice(poly_parse(text))
 
     assert lp_divexact(lat("1 - t^2"), lat("1 - t")) == lat("1 + t")
-    for num, den in (("1 + q^-1", "1 - t"), ("1 + t", "1 - t"),
-                     ("2 + 2*t", "3 + 3*t")):
-        with pytest.raises(InexactDivision):
+    for num, den, match in (
+            # an empty t-range: no quotient at all
+            ("1 + q^-1", "1 - t", r"^quotient key q\^\(0/L\) t\^\(-4/L\) "
+             r"is outside the degree box q\^\[-4, 0\] t\^\[0, -4\]"),
+            ("1 + t", "1 - t", r"^quotient key q\^\(0/L\) t\^\(-4/L\) "
+             r"is outside the degree box q\^\[0, 0\] t\^\[0, 0\]"),
+            ("2 + 2*t", "3 + 3*t",
+             r"^coefficient 2 does not divide by 3 at q\^\(0/L\) "
+             r"t\^\(0/L\)$")):
+        with pytest.raises(InexactDivision, match=match):
             lp_divexact(lat(num), lat(den))
 
 

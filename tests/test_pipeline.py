@@ -1,5 +1,6 @@
 """End-to-end invariants: rank polynomials, a-stabilization, specializations."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -319,7 +320,7 @@ def _torus_alexander(r, s, scale):
 @pytest.mark.parametrize("dsl", [
     TREFOIL, "{[5,2]->(1)}", "{[4,3]->(1)}",
     "{[2,1],[2,1]->(1)}", "{[2,1],[2,3]->(1)}", "{[2,1],[3,1]->(1)}",
-    "{[3,2],[2,1]->(1)}",
+    "{[3,2],[2,1]->(1)}", "{[7,4]->(1)}", "{[2,1],[2,1],[2,1]->(1)}",
 ])
 def test_alexander_matches_cabling_formula(dsl):
     """Seifert: Delta_K(x) = prod_i Delta_{T(r_i,a_i)}(x^{r_{i+1}...r_l})."""
@@ -334,7 +335,7 @@ def test_alexander_matches_cabling_formula(dsl):
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3),
-                                 (7, 3)])
+                                 (7, 3), (8, 3)])
 def test_homfly_matches_rosso_jones(m, n):
     """The t = q slice, every a-degree of it, against a reference that
     does not use DAHA."""
@@ -543,6 +544,28 @@ def test_no_zero_difference_exhausts_the_shifts(monkeypatch):
     with pytest.raises(pl.StabilizationFailed):
         pl.superpolynomial(parse_dsl(TREFOIL))
     assert calls == [1, 2, 3, 4, 5, 6]
+
+
+# sha256(poly_text(poly) + repr(shift))[:12] and the window of deeper
+# links, recorded with the fundamental-step chain of `tests/chains.py` in
+# place of the reflections; the last two are marked slow (5-10 s each)
+DEEP_GOLDEN = [
+    ("{[3,2],[2,1]->(1)}", (1, 2, 3, 4), "d3bb34b62e21"),
+    ("{[7,4]->(1)}", (1, 2, 3, 4), "7f2f5f55292c"),
+    ("{[5,2]->(2)}", (1, 2, 3), "49e8457269ec"),
+    pytest.param("{[3,2]->(2,1)}", (2, 3, 4, 5), "b00ef3482fd9",
+                 marks=pytest.mark.slow),
+    pytest.param("{[3,2]->(3)}", (1, 2, 3, 4), "dbc735c67d08",
+                 marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("dsl,ranks,digest", DEEP_GOLDEN)
+def test_deep_superpolynomial_golden(dsl, ranks, digest):
+    s = sup(dsl)
+    text = poly_text(s.poly) + repr(s.shift)
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
+    assert s.ranks == ranks and s.verified_rank == ranks[-1] + 1
 
 
 def test_stabilization_window_recorded():
