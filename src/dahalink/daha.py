@@ -102,7 +102,10 @@ def _add_into(acc, p, d, s=1):
     return acc
 
 def lp_mul(p1, p2):
-    acc = {}
+    return _mul_into({}, p1, p2)
+
+def _mul_into(acc, p1, p2):
+    """acc += p1 p2 in place; zeros are dropped."""
     get = acc.get
     for k1, c1 in p1.items():
         for k2, c2 in p2.items():
@@ -182,12 +185,13 @@ def xp_add_into(acc, f, scale=None):
     """acc += scale * f in place.  acc owns its coefficient dicts: a new
     key gets a copy, so f is never changed."""
     for b, c in f.items():
-        v = dict(c) if scale is None else lp_mul(c, scale)
         cur = acc.get(b)
         if cur is None:
+            v = dict(c) if scale is None else lp_mul(c, scale)
             if v:
                 acc[b] = v
-        elif not lp_add_into(cur, v):
+        elif not (_add_into(cur, c, 0) if scale is None
+                  else _mul_into(cur, c, scale)):
             del acc[b]
     return acc
 
@@ -227,6 +231,7 @@ class Rep:
         # L (w_r, w_r)/2 = r (n+1-r): the q-power of the tau-images
         self._c = [None] + [r * (self.n1 - r) for r in range(1, n + 1)]
         self._img_memo = {}
+        self._atoms = {}
         # the fundamental steps Y_{omega_r} for `apply_weights`
         self.y_steps = [None] + [(0, self.y_atoms(r))
                                  for r in range(1, self.n1)]
@@ -254,9 +259,14 @@ class Rep:
         num, den = num.cancel(den)
         inv = FactoredBinomial(1 / num.coeff, (-num.key[0], -num.key[1], 0))
         factor = self.to_lattice(den.mul(inv).expand())
-        atoms = tuple(self.to_lattice(atom_expand_cached(a))
-                      for a in num.atoms)
-        return factor, atoms
+        return factor, tuple(map(self.atom, num.atoms))
+
+    def atom(self, a):
+        """An atom of `scalars` as a lattice poly."""
+        hit = self._atoms.get(a)
+        if hit is None:
+            hit = self._atoms[a] = self.to_lattice(atom_expand_cached(a))
+        return hit
 
     def from_lattice(self, p):
         """A lattice poly as a poly of `scalars`."""
@@ -355,8 +365,9 @@ class Rep:
 
     def y_op(self, b, f):
         """Y_b f as the product of the fundamental steps Y_{+-omega_r},
-        coordinate n first; it needs nothing of f (`Mac.E` applies it to
-        single monomials X_d)."""
+        coordinate n first; it needs nothing of f.  No caller in the
+        package remains: the tests use it as the reference route, valid
+        for any f, against `apply_weights` and in the span solve of E."""
         for r in range(self.n, 0, -1):
             l = b[r - 1]
             if l:

@@ -1,97 +1,46 @@
 """Nonsymmetric E_b and symmetric P_lambda Macdonald polynomials for A_n.
 
-E_b is produced as the joint Y-eigenvector on the dominance-bounded monomial
-span.  The Y-operators are triangular there with monomial diagonal
-q^{-(w_i, c-sharp)}, so each coefficient is solved once, after those its row
-reaches (a dependency cycle means Y is not triangular):
+E_b is built by Cherednik's intertwiners (Cherednik, IMRN 1995 no. 10), in
+the integral form of Knop (J. reine angew. Math. 482 (1997)), from E_0 = 1.
+With v the epsilon coordinates of b:
 
-    x_c  =  (sum_{d != c} (Y_i X_d)_c x_d) / (lam_b - lam_c)
+  * if v_1 > min(v), then E_b is proportional to X_{omega_1} pi_1 E_c,
+    c = (v_2, ..., v_{n+1}, v_1 - 1);
+  * otherwise, with p the first position where v_p > min(v), i = p - 1 and
+    c = s_i b, E_b is proportional to ((lam - 1) T_i + t^{1/2} - t^{-1/2})
+    E_c, where lam = q^{c_i} t^{k_i - k_{i+1}} and k = w_c^{-1} rho is the
+    t-part of c-sharp (`weights.sharp_point`).
 
-All divisions are by monomial differences lam_b - lam_c, i.e. by binomial
-atoms, so coefficients stay inside the restricted fraction ring of `scalars`.
+The recursion ends: a pi step lowers sum(v) - (n+1) min(v) by one, and a
+T step keeps it and moves the first entry above min(v) one place left.
+Each step stays in lattice XPolys and divides only to cancel content: the
+atoms of every lam - 1 are kept, and after each T step those that divide
+every coefficient are divided out.  E_b is returned as that integral
+numerator and a factored denominator, its coefficient at X_b.
 
 J_lambda = h_lambda P_lambda comes from Hecke-symmetrizing E (the
 symmetrizer factors through parabolic coset sums, so |W| never appears),
 and the closed evaluation P_lambda(q^{-rho_k}) is a product over pairs of
 b's epsilon coordinates.
 
-E and P keep Scal coefficients; J is a lattice XPoly, the form the
-operators of `daha` act on.  E reaches them by linearity: the Y-columns act
-on monomials, and the symmetrizer acts on E's numerators over one common
-denominator.  J divides those numerators by one factored divisor, so it
-never passes through a Scal.
+E and J are lattice XPolys, the form the operators of `daha` act on; only
+P keeps Scal coefficients.  J divides the symmetrized numerator of E by one
+factored divisor, so it never passes through a Scal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from graphlib import CycleError, TopologicalSorter
 
-from .scalars import (Scal, _ex, binomial_fb, FactoredBinomial, pmul,
-                      atom_expand_cached)
+from .scalars import Scal, binomial_fb, FactoredBinomial, InexactDivision
 from . import weights as wt
-from .daha import get_rep, xp_mono, xp_add_into, lp_shift, lp_divide
-
-
-class EigenvalueCollision(Exception):
-    pass
-
-
-class NonTerminating(Exception):
-    pass
+from .daha import (get_rep, xp_one, xp_add_into, lp_shift, lp_add_into,
+                   lp_divexact, lp_divide)
 
 
 class NotMonic(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# dominance spans
-
-def _dominated_partitions(vplus):
-    """All weakly decreasing integer vectors below vplus in dominance order
-    (same length, same sum)."""
-    n1 = len(vplus)
-    total = sum(vplus)
-    prefix = [0]
-    for x in vplus:
-        prefix.append(prefix[-1] + x)
-    out = []
-
-    def rec(acc, ssum):
-        i = len(acc)
-        if i == n1:
-            out.append(tuple(acc))
-            return
-        hi = acc[-1] if acc else vplus[0]
-        hi = min(hi, prefix[i + 1] - ssum)
-        # the entries from here on are <= x, so ssum + x*(n1 - i) >= total
-        lo = -((ssum - total) // (n1 - i))
-        for x in range(hi, lo - 1, -1):
-            rec(acc + [x], ssum + x)
-
-    rec([], 0)
-    return out
-
-
-def _orbit(mu):
-    from itertools import permutations
-    seen = set()
-    for p in permutations(mu):
-        seen.add(p)
-    return seen
-
-
-def span_weights(b):
-    """Weights c with c_+ dominated by b_+ and c = b mod Q."""
-    b_plus, _ = wt.sort_perm_maximal(b)
-    vplus = wt.to_eps(b_plus)
-    out = []
-    for mu in _dominated_partitions(vplus):
-        for v in _orbit(mu):
-            out.append(wt.from_eps(v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,109 +55,84 @@ class Mac:
         self._J = {}
         self._eval = {}
 
-    # -- eigenvalues -----------------------------------------------------
-
-    def eigen_exp(self, i, c):
-        """(q-exp, t-exp) of q^{-(w_i, c-sharp)}."""
-        _, _, pt = wt.sharp_point(c)
-        eq, et = pt.exponents(self.rep.omegas[i])
-        return (_ex(-eq), _ex(-et))
-
     # -- E polynomials ---------------------------------------------------
 
     def E(self, b):
-        """E_b as {weight: Scal}, with coefficient 1 at X_b."""
+        """E_b as (num, den): a lattice XPoly with integer coefficients and
+        a FactoredBinomial, with num[b] equal to den expanded.  The unit
+        and monomial of den are what is left of num[b] after dividing out
+        its atoms; if more than one term is left, NotMonic is raised."""
         b = tuple(b)
         hit = self._E.get(b)
         if hit is not None:
             return hit
-        span = span_weights(b)
-        lam_b = [None] + [self.eigen_exp(i, b) for i in range(1, self.n + 1)]
-        # pick a resolving Y-direction for every other span weight
-        direction = {}
-        lam = {}
-        for c in span:
-            if c == b:
-                continue
-            for i in range(1, self.n + 1):
-                e = self.eigen_exp(i, c)
-                if e != lam_b[i]:
-                    direction[c] = i
-                    lam[c] = e
-                    break
-            else:
-                raise EigenvalueCollision((b, c))
         rep = self.rep
-        used = sorted(set(direction.values()))
-        cols = {i: {} for i in used}
-        for i in used:
-            om = rep.omegas[i]
-            for d in span:
-                col = rep.y_op(om, xp_mono(d))
-                eq, et = self.eigen_exp(i, d)
-                if col.get(d) != rep.to_lattice({(eq, et, 0): 1}):
-                    raise NonTerminating(f"Y_{i} not triangular at {d}")
-                cols[i][d] = col
-        # row c of Y_i E_b = lam_b E_b gives x_c from the x_d whose column
-        # has an X_c term; sums and the result run in span order, b first
-        rows = [b] + list(direction)
-        deps = {c: [d for d in rows if d != c and c in cols[i][d]]
-                for c, i in direction.items()}
-        try:
-            order = [c for c in TopologicalSorter(deps).static_order()
-                     if c != b]
-        except CycleError as e:
-            raise NonTerminating(f"Y not triangular: {e.args[1]}") from None
-        x = {b: Scal.one()}
-        for c in order:
-            i = direction[c]
-            acc = Scal.zero()
-            for d in deps[c]:
-                if d in x:
-                    y = Scal(rep.from_lattice(cols[i][d][c]))
-                    acc = acc.add(y.mul(x[d]))
-            if acc.is_zero():
-                continue
-            # lam_b - lam_c = q^. t^. (1 - q^. t^.), kept factored
-            lb, lc = lam_b[i], lam[c]
-            diff = binomial_fb(lc[0] - lb[0], lc[1] - lb[1]).mul(
-                FactoredBinomial(1, (lb[0], lb[1], 0)))
-            x[c] = acc.div(diff)
-        x = {c: x[c] for c in rows if c in x}
-        self._E[b] = x
-        return x
+        v = wt.to_eps(b)
+        lo = min(v)
+        if max(v) == lo:
+            num, atoms = xp_one(self.n), Counter()
+        elif v[0] > lo:
+            num, den = self.E(wt.from_eps(v[1:] + (v[0] - 1,)))
+            num = rep.xmul(rep.omegas[1], rep.pi_op(1, num))
+            atoms = Counter(den.atoms)
+        else:
+            i = next(p for p, x in enumerate(v) if x > lo)
+            u = list(v)
+            u[i - 1], u[i] = u[i], u[i - 1]
+            c = wt.from_eps(tuple(u))
+            num, den = self.E(c)
+            k = wt.sharp_point(c)[2].kappa
+            eq, et = c[i - 1], k[i - 1] - k[i]
+            L, h = rep.L, rep.half
+            # lam - 1 and t^{1/2} - t^{-1/2}; the key 0 is q^0 t^0
+            lam1 = lp_add_into({0: -1}, {0: 1}, eq * L, et * L)
+            gap = lp_add_into(lp_shift({0: 1}, 0, h), {0: -1}, 0, -h)
+            num = xp_add_into(xp_add_into({}, rep.t_op(i, num), lam1), num,
+                              gap)
+            atoms = Counter(den.atoms + binomial_fb(eq, et).atoms)
+            num = self._cancel(num, atoms)
+        lead = num.get(b, {})
+        for a in atoms.elements():
+            lead = lp_divexact(lead, rep.atom(a))
+        if len(lead) != 1:
+            raise NotMonic(f"E_{b} at X_{b} is not a monomial times its "
+                           f"atoms {sorted(atoms.elements())}")
+        (key, coeff), = rep.from_lattice(lead).items()
+        hit = self._E[b] = (num, FactoredBinomial(coeff, key,
+                                                  atoms.elements()))
+        return hit
+
+    def _cancel(self, num, atoms):
+        """num with every atom of the Counter `atoms` that divides all its
+        coefficients divided out, as often as it does; `atoms` loses
+        them."""
+        for a in list(atoms):
+            div = self.rep.atom(a)
+            while atoms[a]:
+                try:
+                    num = {c: lp_divexact(p, div) for c, p in num.items()}
+                except InexactDivision:
+                    break
+                atoms[a] -= 1
+        return num
 
     # -- symmetrization --------------------------------------------------
 
     def symmetrize(self, f):
-        """Apply the Hecke symmetrizer sum_w t^{l(w)/2} T_w via coset sums.
-
-        f's Scal coefficients are put over one common denominator, and the
-        coset sums act on the numerators in lattice form.  Returns those
-        numerators as a lattice XPoly together with the denominator, a
-        FactoredBinomial of atoms.
-        """
+        """Apply the Hecke symmetrizer sum_w t^{l(w)/2} T_w to the lattice
+        XPoly f via coset sums."""
         rep = self.rep
-        den = Counter()
-        for c in f.values():
-            den |= Counter(c.den)
-        lat = {}
-        for b, c in f.items():
-            num = c.num
-            for atm in (den - Counter(c.den)).elements():
-                num = pmul(num, atom_expand_cached(atm))
-            lat[b] = rep.to_lattice(num)
         h = rep.half
         for m in range(1, self.n + 1):
             # coset factor sum_j t^{l/2} T_{s_j} ... T_{s_m}, j = m+1, ..., 1
-            acc = {b: dict(c) for b, c in lat.items()}
-            cur = lat
+            acc = {b: dict(c) for b, c in f.items()}
+            cur = f
             for i in range(m, 0, -1):
                 cur = {b: lp_shift(c, 0, h)
                        for b, c in rep.t_op(i, cur).items()}
                 xp_add_into(acc, cur)
-            lat = acc
-        return lat, FactoredBinomial(1, (0, 0, 0), den.elements())
+            f = acc
+        return f
 
     def J(self, lam):
         """Integral J_lambda = h_lambda P_lambda as a lattice XPoly.
@@ -216,8 +140,8 @@ class Mac:
         Monic P_lambda is symmetrize(E_b) over its coefficient at X_b, the
         Poincare polynomial of the stabilizer of b in S_{n+1}: the product
         of [m]_t! over the multiplicities m of b's epsilon coordinates
-        (`weights.poincare`).  So J is the symmetrized numerators over one
-        factored divisor, poincare(b) den / h_lambda.  The numerator at X_b
+        (`weights.poincare`).  So J is the symmetrized numerator of E_b
+        over one factored divisor, poincare(b) den / h_lambda.  The numerator at X_b
         is checked against poincare(b) den; J is integral, so an atom of
         the divisor that does not divide raises InexactDivision.
         """
@@ -225,7 +149,8 @@ class Mac:
         hit = self._J.get(lam)
         if hit is None:
             b = wt.to_weight(lam, self.n)
-            lat, den = self.symmetrize(self.E(b))
+            num, den = self.E(b)
+            lat = self.symmetrize(num)
             stab = wt.poincare(b)
             lead = stab.mul(den)
             if lat.get(b) != self.rep.to_lattice(lead.expand()):

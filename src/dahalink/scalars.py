@@ -6,11 +6,11 @@ Three layers:
     exponents integers or Fractions.  The rank-n operators of `daha`,
     Macdonald's J and the normalization divide of a rank value do not use
     them: they act on lattice polys with integer exponents in the unit
-    1/(2(n+1)).  Fraction exponents now arise only in `Mac`'s E and P and
-    its factored evaluation P_lambda(q^{-rho_k}), at the seams where E's
-    numerators and the factored divisors enter lattice form, and in the
-    normalized rank value, which leaves lattice form once, just before
-    `hat_normalize`;
+    1/(2(n+1)).  Fraction exponents arise only in `Mac`'s P and its
+    factored evaluation P_lambda(q^{-rho_k}), in the monomials of the
+    factored divisors where they enter or leave lattice form (E's
+    denominator, J's divisor), and in the normalized rank value, which
+    leaves lattice form once, just before `hat_normalize`;
   * Scal: a poly over a product of atoms.  A Scal never factors its
     numerator: it divides only by a FactoredBinomial, whose atoms join the
     denominator, and an atom leaves the denominator when it divides the

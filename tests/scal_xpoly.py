@@ -1,10 +1,12 @@
-"""XPolys with Scal coefficients, as `Mac` returns E and P.
+"""XPolys with Scal coefficients, as `Mac` returns P.
 
-The operators of `daha` act on lattice XPolys, and `Mac.J` is one.  The
-oracles and checks in the tests work on Scal XPolys with the helpers below;
-`xp_to_lattice` and `to_scal` convert between the two forms, `apply_linear`
-applies an operator to a Scal XPoly by linearity, one monomial at a time,
-and `j_scal` builds J_lambda by Scal division, the oracle of `Mac.J`.
+The operators of `daha` act on lattice XPolys, and `Mac.J` is one; `Mac.E`
+is one over a factored denominator.  The oracles and checks in the tests
+work on Scal XPolys with the helpers below; `xp_to_lattice` and `to_scal`
+convert between the two forms, `e_scal` turns `Mac.E`'s pair into one,
+`apply_linear` applies an operator to a Scal XPoly by linearity, one
+monomial at a time, and `j_scal` builds J_lambda by Scal division, the
+oracle of `Mac.J`.
 """
 
 from fractions import Fraction
@@ -93,6 +95,14 @@ def to_scal(rep, f):
     return {b: Scal(rep.from_lattice(c)) for b, c in f.items()}
 
 
+def e_scal(mac, b):
+    """E_b as a Scal XPoly: `Mac.E`'s numerator over its denominator, so
+    the coefficient at X_b is 1."""
+    num, den = mac.E(b)
+    return {c: Scal(mac.rep.from_lattice(v)).div(den)
+            for c, v in num.items()}
+
+
 def apply_linear(rep, op, f):
     """op, a linear map of lattice XPolys, applied to the Scal XPoly f."""
     out = {}
@@ -102,12 +112,12 @@ def apply_linear(rep, op, f):
 
 
 def j_scal(mac, lam):
-    """J_lambda as a Scal XPoly, by Scal division: each symmetrized
-    numerator over the common denominator, divided by the stabilizer's
-    Poincare product and multiplied by h_lambda."""
+    """J_lambda as a Scal XPoly, by Scal division: each coefficient of the
+    symmetrized numerator of E_b over its denominator, divided by the
+    stabilizer's Poincare product and multiplied by h_lambda."""
     b = wt.to_weight(lam, mac.n)
-    lat, den = mac.symmetrize(mac.E(b))
-    inv = Scal.one().div(wt.poincare(b))
+    num, den = mac.E(b)
+    inv = Scal.one().div(wt.poincare(b).mul(den))
     h = Scal(wt.h_lambda(lam).expand())
-    return {c: Scal(mac.rep.from_lattice(v), den.atoms).mul(inv).mul(h)
-            for c, v in lat.items()}
+    return {c: Scal(mac.rep.from_lattice(v)).mul(inv).mul(h)
+            for c, v in mac.symmetrize(num).items()}

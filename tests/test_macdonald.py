@@ -9,17 +9,19 @@ from fractions import Fraction
 import pytest
 
 from dahalink import weights as wt
-from dahalink.scalars import (Scal, FactoredBinomial, pmul, pmono, pone,
-                              psubstitute, atom_expand_cached, poly_parse,
-                              binomial_fb, _ex)
+from dahalink.scalars import (Scal, FactoredBinomial, InexactDivision,
+                              pmul, pmono, pone, psubstitute,
+                              atom_expand_cached, poly_parse, binomial_fb,
+                              _ex)
 from dahalink import daha
 from dahalink.daha import get_rep, word_of_rs, gamma_hat_project
-from dahalink.macdonald import (Mac, get_mac, span_weights, NonTerminating,
-                                NotMonic, _rho_weight)
+from dahalink.macdonald import Mac, get_mac, NotMonic, _rho_weight
+from e_solve import (span_weights, span_solve, solved, eigen_exp,
+                     NonTerminating)
 from factoring import factored, scal_inv
 from scal_xpoly import (xp_one, xp_mono, xp_add, xp_add_into, xp_eq,
                         xp_eval, xp_scale, to_scal, apply_linear, HALF,
-                        minus_rho_k, xp_to_lattice, j_scal)
+                        minus_rho_k, xp_to_lattice, j_scal, e_scal)
 import weyl
 from norms import (E_eval, P_spherical, norm_spherical, norm_stable,
                    ratio_scal, mu_inner_truncated, star_scal, star_xpoly)
@@ -73,7 +75,7 @@ def expand_in_E(mac, f):
         last = k
         c = rem[b]
         out[b] = c
-        xp_add_into(rem, mac.E(b), c.neg())
+        xp_add_into(rem, e_scal(mac, b), c.neg())
         if b in rem:
             raise NonTerminating(f"failed to eliminate {b}")
     return out
@@ -82,7 +84,7 @@ def expand_in_E(mac, f):
 def from_E(mac, coeffs):
     out = {}
     for b, c in coeffs.items():
-        xp_add_into(out, mac.E(b), c)
+        xp_add_into(out, e_scal(mac, b), c)
     return out
 
 
@@ -95,7 +97,7 @@ def tau_minus_dot(mac, f, m=1):
         b_plus, _ = wt.sort_perm_maximal(b)
         eq = _ex(-m * wt.norm2(b_plus) * HALF)
         et = _ex(-m * wt.pairing(b_plus, _rho_weight(mac.n)))
-        xp_add_into(out, mac.E(b), c.scale(1, (eq, et, 0)))
+        xp_add_into(out, e_scal(mac, b), c.scale(1, (eq, et, 0)))
     return out
 
 
@@ -109,7 +111,7 @@ def apply_fY(mac, f, g, sign=1):
         else:
             val = xp_eval(f, wt.EvalPoint(
                 tuple(-x for x in pt.beta), tuple(-x for x in pt.kappa)))
-        xp_add_into(out, mac.E(e), c.mul(val))
+        xp_add_into(out, e_scal(mac, e), c.mul(val))
     return out
 
 
@@ -118,14 +120,14 @@ def apply_fY(mac, f, g, sign=1):
 
 def test_E_trivial():
     m = get_mac(1)
-    assert xp_eq(m.E((0,)), xp_one(1))
-    assert xp_eq(m.E((1,)), xp_mono((1,)))   # minuscule: E_omega = X
+    assert xp_eq(e_scal(m, (0,)), xp_one(1))
+    assert xp_eq(e_scal(m, (1,)), xp_mono((1,)))   # minuscule: E_omega = X
 
 
 def test_E_minus_omega():
     # E_{-omega} = X^{-1} + (1-t)/(1-qt) X
     m = get_mac(1)
-    E = m.E((-1,))
+    E = e_scal(m, (-1,))
     coeff = scal_parse("-1 + t", [('c', 1, 1, 1)])   # (t-1)/(qt-1)
     assert E[(-1,)].sub(Scal.one()).is_zero()
     assert E[(1,)].sub(coeff).is_zero()
@@ -138,21 +140,21 @@ def test_E_minus_omega():
 def test_E_joint_eigenvector(n, b):
     m = get_mac(n)
     rep = get_rep(n)
-    E = m.E(b)
+    E = e_scal(m, b)
     assert E[b].sub(Scal.one()).is_zero()
     for i in range(1, n + 1):
-        lam = Scal.mono(*m.eigen_exp(i, b))
+        lam = Scal.mono(*eigen_exp(rep, i, b))
         YE = apply_linear(rep, lambda g: rep.y_op(rep.omegas[i], g), E)
         assert xp_eq(YE, xp_scale(E, lam))
 
 
 def test_E_refuses_a_non_triangular_Y(monkeypatch):
-    """Y-columns of X_0 and X_{-2} that reach each other leave no order
-    in which to solve the rows of E_2."""
-    m = Mac(1)
-    y_op = m.rep.y_op
+    """In the span solve, Y-columns of X_0 and X_{-2} that reach each
+    other leave no order in which to solve the rows of E_2."""
+    rep = get_rep(1)
+    y_op = rep.y_op
     partner = {(0,): (-2,), (-2,): (0,)}
-    q7 = m.rep.to_lattice(pmono(eq=7))      # q^7 as a lattice poly
+    q7 = rep.to_lattice(pmono(eq=7))        # q^7 as a lattice poly
 
     def planted(om, f):
         out = y_op(om, f)
@@ -161,14 +163,102 @@ def test_E_refuses_a_non_triangular_Y(monkeypatch):
                 daha.xp_add_into(out, {partner[d]: q7})
         return out
 
-    monkeypatch.setattr(m.rep, "y_op", planted)
+    monkeypatch.setattr(rep, "y_op", planted)
     with pytest.raises(NonTerminating, match=r"Y not triangular: \["):
-        m.E((2,))
+        span_solve(rep, (2,))
 
 
 def test_span_weights_closed():
     span = set(span_weights((2,)))
     assert span == {(2,), (-2,), (0,)}
+
+
+def _span_union(n, boxes):
+    """The weights in the spans of the colors of at most `boxes` boxes at
+    rank n, each once."""
+    out = {}
+    for lam in _colors(boxes):
+        if len(lam) <= n:
+            out.update(dict.fromkeys(span_weights(wt.to_weight(lam, n))))
+    return list(out)
+
+
+@pytest.mark.parametrize("n,boxes", [(1, 3), (2, 3), (3, 3), (4, 2)])
+def test_E_matches_the_span_solve(n, boxes):
+    """The intertwiner E, num/den as Scals, equals the span solve on every
+    weight in the spans of the colors of at most `boxes` boxes."""
+    m = get_mac(n)
+    for c in _span_union(n, boxes):
+        assert xp_eq(e_scal(m, c), solved(m.rep, c)), c
+
+
+def _divides(p, d):
+    try:
+        daha.lp_divexact(p, d)
+    except InexactDivision:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n,boxes", [(2, 3), (3, 3), (4, 4)])
+def test_E_content_is_cancelled(n, boxes):
+    """No atom of E's denominator divides every coefficient of its
+    numerator, for E_b and each E_c on its intertwiner chain: the content
+    of each T step is divided out, and a pi step only moves and shifts
+    coefficients."""
+    m = get_mac(n)
+    for lam in _colors(boxes):
+        if len(lam) <= n:
+            m.E(wt.to_weight(lam, n))
+    for c, (num, den) in m._E.items():
+        for a in set(den.atoms):
+            div = m.rep.atom(a)
+            assert not all(_divides(p, div) for p in num.values()), (c, a)
+
+
+def _proportional(f, g, b):
+    """f is a nonzero multiple of g, whose coefficient at X_b is 1."""
+    lead = f.get(b)
+    return lead is not None and xp_eq(f, xp_scale(g, lead))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_T_intertwiner_maps_E_c_to_E_sic(n):
+    """((lam - 1) T_i + t^{1/2} - t^{-1/2}) E_c is a multiple of E_{s_i c}
+    for either sign of c_i, where lam = q^{c_i} t^{k_i - k_{i+1}} and
+    k = w_c^{-1} rho; E is the span solve's."""
+    rep = get_rep(n)
+    half = Scal.mono(et=HALF).sub(Scal.mono(et=-HALF))
+    cases = 0
+    for c in _span_union(n, 3):
+        E = solved(rep, c)
+        k = wt.sharp_point(c)[2].kappa
+        for i in range(1, n + 1):
+            ci = c[i - 1]
+            if not ci:
+                continue
+            lam1 = Scal.mono(ci, k[i - 1] - k[i]).sub(Scal.one())
+            TE = apply_linear(rep, lambda g: rep.t_op(i, g), E)
+            f = xp_add(xp_scale(TE, lam1), xp_scale(E, half))
+            b = tuple(x - ci * a for x, a in zip(c, rep.alphas[i]))
+            assert _proportional(f, solved(rep, b), b), (c, i)
+            cases += 1
+    assert cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pi_intertwiner_maps_E_c_to_E_c_prime(n):
+    """X_{omega_1} pi_1 E_c is a multiple of E_{c'}, where
+    c' = (v_{n+1} + 1, v_1, ..., v_n) in c's epsilon coordinates v; E is
+    the span solve's."""
+    rep = get_rep(n)
+    om = rep.omegas[1]
+    for c in _span_union(n, 3):
+        v = wt.to_eps(c)
+        b = wt.from_eps((v[-1] + 1,) + v[:-1])
+        f = apply_linear(rep, lambda g: rep.xmul(om, rep.pi_op(1, g)),
+                         solved(rep, c))
+        assert _proportional(f, solved(rep, b), b), c
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +302,16 @@ def test_P_rank_guard():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symmetrize_lead_is_stabilizer_poincare(n):
     """Mac.J divides by the stabilizer's Poincare product; it must equal
-    the coefficient of X_b in symmetrize(E_b), its numerator over the
-    common denominator, computed here directly."""
+    the coefficient of X_b in symmetrize(E_b)'s numerator over E_b's
+    denominator, computed here directly."""
     m = get_mac(n)
     for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1),
                 (2, 1, 1)]:
         if len(lam) > n:
             continue
         b = wt.to_weight(lam, n)
-        lat, den = m.symmetrize(m.E(b))
-        lead = Scal(m.rep.from_lattice(lat[b]), den.atoms)
+        num, den = m.E(b)
+        lead = Scal(m.rep.from_lattice(m.symmetrize(num)[b])).div(den)
         assert lead == Scal(wt.poincare(b).expand()), (n, lam)
 
 
@@ -262,7 +352,7 @@ def test_eval_closed_equals_substitution(n, lams, bs):
     for lam in lams:
         assert xp_eval(m.P(lam), pt).sub(p_eval(m, lam)).is_zero()
     for b in bs:
-        assert xp_eval(m.E(b), pt).sub(E_eval(m, b)).is_zero()
+        assert xp_eval(e_scal(m, b), pt).sub(E_eval(m, b)).is_zero()
 
 
 def test_spherical_coinvariant_one():
@@ -321,7 +411,7 @@ def test_tilde_N_E_integrality(n, b):
     """tilde_N * E-spherical has polynomial coefficients."""
     m = get_mac(n)
     Nb = Scal(weyl.tilde_N(b).expand())
-    f = xp_scale(m.E(b), scal_inv(E_eval(m, b)))
+    f = xp_scale(e_scal(m, b), scal_inv(E_eval(m, b)))
     assert int_coeffs(xp_scale(f, Nb))
 
 
@@ -367,7 +457,7 @@ def test_expand_resum(n, lam):
 def test_tau_minus_dot_eigen():
     # tau-dot scales E_omega by q^{-((w,w)/2 + (w,rho_k))} = q^{-1/4}t^{-1/2}
     m = get_mac(1)
-    E = m.E((1,))
+    E = e_scal(m, (1,))
     got = tau_minus_dot(m, E, 1)
     want = xp_scale(E, Scal.mono(eq=Fraction(-1, 4), et=Fraction(-1, 2)))
     assert xp_eq(got, want)
@@ -449,7 +539,8 @@ def test_mu_inner_one():
 def test_mu_orthogonality():
     m = get_mac(1)
     assert mu_inner_truncated(m.P((1,)), m.P((2,)), 1, 4).is_zero()
-    assert mu_inner_truncated(m.E((1,)), m.E((-1,)), 1, 4).is_zero()
+    assert mu_inner_truncated(e_scal(m, (1,)), e_scal(m, (-1,)), 1,
+                              4).is_zero()
 
 
 def test_norm_spherical_vs_pairing_rank1():
@@ -511,5 +602,5 @@ def test_norm_stable_specializes(n, lam):
 
 def test_star_xpoly_involution():
     m = get_mac(1)
-    E = m.E((-1,))
+    E = e_scal(m, (-1,))
     assert xp_eq(star_xpoly(star_xpoly(E)), E)

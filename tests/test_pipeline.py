@@ -14,17 +14,17 @@ from dahalink.links import (
     norm_diagram, deg_a_bound,
 )
 from dahalink.scalars import (
-    Scal, InexactDivision, poly_parse, poly_text, pmul, ppow, pdivexact,
-    psubstitute, hat_normalize,
+    Scal, FactoredBinomial, InexactDivision, poly_parse, poly_text, pmul,
+    ppow, pdivexact, psubstitute, hat_normalize,
 )
 import dahalink
 from dahalink import pipeline as pl
 from dahalink.cli import main
 from dahalink.daha import (
-    get_rep, gamma_hat_project, word_of_rs, xp_add_into, OffLattice,
-    lp_add_into, lp_mul,
+    get_rep, gamma_hat_project, word_of_rs, xp_add_into, lp_add_into,
+    lp_mul,
 )
-from dahalink.macdonald import Mac, get_mac
+from dahalink.macdonald import Mac, NotMonic, get_mac
 from degree import exact_deg_a
 from homfly import rosso_jones
 
@@ -403,20 +403,25 @@ def test_bad_normalization_fails_before_any_rank(norm, monkeypatch):
         pl.jd(pair, 1, norm)
 
 
-@pytest.mark.parametrize("bad,error", [
-    # a coefficient with a denominator
-    ({(1,): Scal(poly_parse("1/2"))}, OffLattice),
-    # an exponent off the lattice of unit 1/4
-    ({(1,): Scal(poly_parse("q^(1/3)"))}, OffLattice),
-    # X_1 + 1/(1 - q t): the lead passes, and the atom does not cancel
-    ({(1,): Scal.one(), (0,): Scal(poly_parse("1"), (('c', 1, 1, 1),))},
-     InexactDivision),
-], ids=["fraction", "off_lattice", "atom"])
-def test_J_seam_refuses_what_the_lattice_cannot_hold(bad, error,
+# the atom q t - 1 as a planted denominator of E_(1) at rank 1
+_QT = FactoredBinomial(1, (0, 0, 0), (('c', 1, 1, 1),))
+
+
+@pytest.mark.parametrize("lead,error", [
+    # (X_1 (q t - 1) + X_0)/(q t - 1): the lead passes, and the atom does
+    # not divide J's coefficient at X_0
+    ("q*t - 1", InexactDivision),
+    # the lead is (1 - q) times the denominator
+    ("q*t - 1 + q - q^2*t", NotMonic),
+], ids=["atom", "lead"])
+def test_J_seam_refuses_what_the_lattice_cannot_hold(lead, error,
                                                      monkeypatch):
-    """Where E enters J's lattice form, and where J divides by its
-    factored divisor, a term the lattice cannot hold raises instead of
-    being dropped."""
+    """Where J checks E's lead against its denominator, and where it
+    divides by its factored divisor, a planted E that J cannot hold raises
+    instead of giving a wrong J."""
+    rep = get_rep(1)
+    bad = ({(1,): rep.to_lattice(poly_parse(lead)),
+            (0,): rep.to_lattice(poly_parse("1"))}, _QT)
     monkeypatch.setattr(Mac, "E", lambda self, b: bad)
     monkeypatch.setattr(get_mac(1), "_J", {})
     with pytest.raises(error):
