@@ -7,14 +7,14 @@ packs the exponent pair as iq * 2^32 + it, with it a balanced digit.  A
 q/t shift is then one int add and key order is lex order on (iq, it).
 Every exponent the operators below produce lies on that lattice (the
 pairing of two weights has denominator n+1, and T_i brings t^{+-1/2}), and
-no coefficient has a denominator, so the operators never meet a Fraction
-or a Scal.  The key layout is private to this module:
-`Rep.to_lattice` and `Rep.from_lattice` are the seams to the rational-key
-polys of `scalars`; off-lattice input, or a t-exponent beyond T_LIMIT
-lattice units, raises OffLattice.  A factored divisor enters lattice form
-once, through `Rep.divisor`, and `lp_divide` divides by it exactly: the
-symmetrized numerators by the denominator of Macdonald's J, and a
-coinvariant value by its normalization.
+no coefficient has a denominator, so the operators never meet a Fraction.
+The key layout is private to this module: `Rep.to_lattice` and
+`Rep.from_lattice` are the seams to the rational-key polys of `scalars`;
+off-lattice input, or a t-exponent beyond T_LIMIT lattice units, raises
+OffLattice.  Every division is one `lp_divexact` by a lattice poly:
+Macdonald's J divides its symmetrized numerator by its factored divisor,
+expanded once, and a coinvariant value is divided by J at the coinvariant
+point.
 
 Operators act through Atom sequences:
 
@@ -48,8 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import (InexactDivision, FactoredBinomial, _ex,
-                      atom_expand_cached)
+from .scalars import InexactDivision, _ex, atom_expand_cached
 from . import weights as wt
 
 
@@ -165,16 +164,6 @@ def lp_divexact(num, den):
                 del rem[k]
     return quo
 
-def lp_divide(p, divisor):
-    """p over a lattice divisor (factor, atoms) of `Rep.divisor`: times
-    factor, then divided exactly by each atom.  An atom that does not
-    divide raises InexactDivision."""
-    factor, atoms = divisor
-    p = lp_mul(p, factor)
-    for a in atoms:
-        p = lp_divexact(p, a)
-    return p
-
 def xp_one(n):
     return {wt.zero(n): {0: 1}}
 
@@ -250,16 +239,6 @@ class Rep:
                                  f"not a lattice term at rank {self.n}")
             out[_key(int(iq), int(it))] = c
         return out
-
-    def divisor(self, num, den):
-        """num / den, FactoredBinomials, as a lattice divisor (factor,
-        atoms) for `lp_divide`, once the atoms they share are cancelled:
-        `factor` is den over num's unit and monomial, and `atoms` are num's
-        atoms."""
-        num, den = num.cancel(den)
-        inv = FactoredBinomial(1 / num.coeff, (-num.key[0], -num.key[1], 0))
-        factor = self.to_lattice(den.mul(inv).expand())
-        return factor, tuple(map(self.atom, num.atoms))
 
     def atom(self, a):
         """An atom of `scalars` as a lattice poly."""

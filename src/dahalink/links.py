@@ -68,6 +68,8 @@ class ColoredForest:
     paths: tuple
 
     def __post_init__(self):
+        if not self.paths:
+            raise ValueError("a component needs at least one path")
         prev = None
         for p in self.paths:
             if prev is None:

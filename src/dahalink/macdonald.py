@@ -1,4 +1,5 @@
-"""Nonsymmetric E_b and symmetric P_lambda Macdonald polynomials for A_n.
+"""Nonsymmetric E_b and integral symmetric J_lambda Macdonald polynomials
+for A_n.
 
 E_b is built by Cherednik's intertwiners (Cherednik, IMRN 1995 no. 10), in
 the integral form of Knop (J. reine angew. Math. 482 (1997)), from E_0 = 1.
@@ -19,13 +20,11 @@ every coefficient are divided out.  E_b is returned as that integral
 numerator and a factored denominator, its coefficient at X_b.
 
 J_lambda = h_lambda P_lambda comes from Hecke-symmetrizing E (the
-symmetrizer factors through parabolic coset sums, so |W| never appears),
-and the closed evaluation P_lambda(q^{-rho_k}) is a product over pairs of
-b's epsilon coordinates.
-
-E and J are lattice XPolys, the form the operators of `daha` act on; only
-P keeps Scal coefficients.  J divides the symmetrized numerator of E by one
-factored divisor, so it never passes through a Scal.
+symmetrizer factors through parabolic coset sums, so |W| never appears).
+E and J are lattice XPolys, the form the operators of `daha` act on.  J
+multiplies the symmetrized numerator of E by one lattice poly and divides
+it exactly by another, the two sides of one factored ratio.  Its value at
+the coinvariant point is the pipeline's normalization.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .scalars import Scal, binomial_fb, FactoredBinomial, InexactDivision
+from .scalars import binomial_fb, FactoredBinomial, InexactDivision
 from . import weights as wt
 from .daha import (get_rep, xp_one, xp_add_into, lp_shift, lp_add_into,
-                   lp_divexact, lp_divide)
+                   lp_mul, lp_divexact)
 
 
 class NotMonic(Exception):
@@ -53,7 +52,6 @@ class Mac:
         self.rep = get_rep(n)
         self._E = {}
         self._J = {}
-        self._eval = {}
 
     # -- E polynomials ---------------------------------------------------
 
@@ -141,9 +139,10 @@ class Mac:
         Poincare polynomial of the stabilizer of b in S_{n+1}: the product
         of [m]_t! over the multiplicities m of b's epsilon coordinates
         (`weights.poincare`).  So J is the symmetrized numerator of E_b
-        over one factored divisor, poincare(b) den / h_lambda.  The numerator at X_b
-        is checked against poincare(b) den; J is integral, so an atom of
-        the divisor that does not divide raises InexactDivision.
+        times h_lambda / (poincare(b) den), a ratio whose shared atoms are
+        cancelled before both sides are expanded.  The numerator at X_b is
+        checked against poincare(b) den; J is integral, so a coefficient
+        the divisor does not divide raises InexactDivision.
         """
         lam = tuple(lam)
         hit = self._J.get(lam)
@@ -156,42 +155,11 @@ class Mac:
             if lat.get(b) != self.rep.to_lattice(lead.expand()):
                 raise NotMonic(f"symmetrize(E_{b}) at X_{b} is not the "
                                f"stabilizer's {stab}")
-            div = self.rep.divisor(lead, wt.h_lambda(lam))
-            hit = self._J[lam] = {c: lp_divide(v, div)
+            up, down = (self.rep.to_lattice(f.expand())
+                        for f in wt.h_lambda(lam).cancel(lead))
+            hit = self._J[lam] = {c: lp_divexact(lp_mul(v, up), down)
                                   for c, v in lat.items()}
         return hit
-
-    def P(self, lam):
-        """Monic P_lambda = J_lambda / h_lambda, with Scal coefficients."""
-        h = wt.h_lambda(lam)
-        return {c: Scal(self.rep.from_lattice(v)).div(h)
-                for c, v in self.J(lam).items()}
-
-    def P_eval(self, lam):
-        """Closed-form P_lambda(q^{-rho_k}) as (num, den) FactoredBinomials,
-        the power of t folded into num."""
-        lam = tuple(lam)
-        hit = self._eval.get(lam)
-        if hit is None:
-            b = wt.to_weight(lam, self.n)
-            vb = wt.to_eps(b)
-            n1 = self.n + 1
-            num = FactoredBinomial.one()
-            den = FactoredBinomial.one()
-            for l in range(n1):
-                for m in range(l + 1, n1):
-                    p = m - l
-                    for j in range(0, vb[l] - vb[m]):
-                        num = num.mul(binomial_fb(j, p + 1))
-                        den = den.mul(binomial_fb(j, p))
-            shift = -wt.pairing(b, _rho_weight(self.n))
-            hit = (num.mul(FactoredBinomial(1, (0, shift, 0))), den)
-            self._eval[lam] = hit
-        return hit
-
-
-def _rho_weight(n):
-    return tuple([1] * n)
 
 
 @lru_cache(maxsize=None)

@@ -15,14 +15,14 @@ from math import comb
 
 from . import weights as wt
 from .scalars import (
-    Scal, FactoredBinomial, InexactDivision, hat_normalize, pone, padd_into,
-    psub, pmul, ppow, pdivexact, psubstitute, poly_text, series_divide,
-    binomial_fb,
+    FactoredBinomial, InexactDivision, Quotient, quotient, hat_normalize,
+    pone, padd_into, psub, pmul, ppow, pdivexact, psubstitute, poly_text,
+    series_divide, binomial_fb,
 )
 from .weights import RankTooSmall
 from .daha import (
     get_rep, xp_one, xp_mul, word_of_rs, gamma_hat_project, _core_project,
-    apply_weights, lp_divide,
+    apply_weights, lp_divexact,
 )
 from .macdonald import get_mac
 from .links import (
@@ -96,18 +96,15 @@ def _apply_fY(rep, f, g, sign=1):
 
 
 @lru_cache(maxsize=None)
-def _lattice_norm(rank, lam):
-    """J_lam(q^{-rho_k}) = h_lam P_lam(q^{-rho_k}) as a lattice divisor
-    (`daha.Rep.divisor`)."""
-    num, den = get_mac(rank).P_eval(lam)
-    return get_rep(rank).divisor(wt.h_lambda(lam).mul(num), den)
+def _j_eval(rank, lam):
+    """J_lam(q^{-rho_k}), the coinvariant of J_lam, as a lattice poly."""
+    return get_rep(rank).coinvariant(get_mac(rank).J(lam))
 
 
 def _div_j_eval(p, rank, lam):
     """p, a coinvariant value in lattice form, over J_lam at the coinvariant
-    point.  A value that the divisor's atoms do not divide raises
-    InexactDivision."""
-    return lp_divide(p, _lattice_norm(rank, lam)) if lam else p
+    point.  A value that it does not divide raises InexactDivision."""
+    return lp_divexact(p, _j_eval(rank, lam)) if lam else p
 
 
 def jd_raw(pair, rank, norm="min"):
@@ -219,7 +216,7 @@ def superpolynomial(pair, norm="min"):
 @dataclass(frozen=True)
 class VertexValue:
     super: SuperPoly
-    dagger: Scal
+    dagger: Quotient
     c_num: dict
 
 
@@ -239,9 +236,8 @@ def hopf_vertex(diagrams, meridian=None, vee=True):
     pair = hopf_star(diagrams, meridian, vee)
     sup = superpolynomial(pair, "min")
     union = reduce(wt.diagram_union, diagrams, ())
-    dag = Scal(pmul(sup.poly, wt.pi_dagger(union).expand()))
-    for lam in diagrams:
-        dag = dag.div(wt.pi_dagger(lam))
+    dag = quotient(pmul(sup.poly, wt.pi_dagger(union).expand()),
+                   reduce(FactoredBinomial.mul, map(wt.pi_dagger, diagrams)))
     lead = {(k[0], k[1], 0): c for k, c in sup.poly.items()
             if k[2] == sup.deg_a}
     c_num = hat_normalize(psubstitute(lead, t=(1, 1, 0, 0)))[0]
@@ -281,21 +277,21 @@ def _den_jo(colors, jo=0):
 
 
 def spec_homfly(sup, jo=0, reduced=True):
-    """t -> q, a -> -a, divided by the reduced denominator; unreduced
-    multiplies back the stable value of the jo-colored unknot, its dagger
-    rows over its hook binomials."""
+    """t -> q, a -> -a, divided by the reduced denominator, as a Quotient;
+    unreduced multiplies back the stable value of the jo-colored unknot,
+    its dagger rows over its hook binomials."""
     colors = _all_colors(lower_twist(sup.link))
     if not 0 <= jo < len(colors):
         raise ValueError(f"jo={jo} is out of range for a link with "
                          f"{len(colors)} color(s)")
     to_homfly = dict(t=(1, 1, 0, 0), a=(-1, 0, 0, 1))
     dag, hooks = _den_jo(colors, jo)
-    out = Scal(pmul(psubstitute(sup.poly, **to_homfly), dag)).div(hooks)
+    num = pmul(psubstitute(sup.poly, **to_homfly), dag)
     if not reduced:
         lam = colors[jo] or (1,)
-        unknot = psubstitute(wt.pi_dagger(lam).expand(), **to_homfly)
-        out = out.mul(Scal(unknot)).div(_hooks_tq(lam))
-    return out
+        num = pmul(num, psubstitute(wt.pi_dagger(lam).expand(), **to_homfly))
+        hooks = hooks.mul(_hooks_tq(lam))
+    return quotient(num, hooks)
 
 
 def spec_alexander(sup):

@@ -4,20 +4,18 @@ Three layers:
 
   * plain sparse Laurent "polys": dict mapping (e_q, e_t, e_a) -> Fraction|int,
     exponents integers or Fractions.  The rank-n operators of `daha`,
-    Macdonald's J and the normalization divide of a rank value do not use
-    them: they act on lattice polys with integer exponents in the unit
-    1/(2(n+1)).  Fraction exponents arise only in `Mac`'s P and its
-    factored evaluation P_lambda(q^{-rho_k}), in the monomials of the
+    Macdonald's E and J and the normalization divide of a rank value do not
+    use them: they act on lattice polys with integer exponents in the unit
+    1/(2(n+1)).  Fraction exponents arise only in the monomials of the
     factored divisors where they enter or leave lattice form (E's
     denominator, J's divisor), and in the normalized rank value, which
     leaves lattice form once, just before `hat_normalize`;
-  * Scal: a poly over a product of atoms.  A Scal never factors its
-    numerator: it divides only by a FactoredBinomial, whose atoms join the
-    denominator, and an atom leaves the denominator when it divides the
-    numerator exactly;
   * FactoredBinomial: a unit times a monomial times atoms, kept factored.
     It is the only divisor type: every divisor is built factored where it
-    arises, so no polynomial is ever expanded and then factored again.
+    arises, so no polynomial is ever expanded and then factored again;
+  * Quotient: a poly over the atoms of a FactoredBinomial that do not
+    divide it (`quotient`).  The numerator is never factored.  The
+    HOMFLY-PT specialization and the Hopf dagger are Quotients.
 
 Atoms come in two shapes:
   ('c', d, aq, at)  --  Phi_d(q^aq * t^at), the d-th cyclotomic polynomial
@@ -31,6 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, comb
+from typing import NamedTuple
 
 
 class ZeroPolynomial(Exception):
@@ -100,9 +99,6 @@ def padd(p1, p2):
 
 def psub(p1, p2):
     return padd_into(dict(p1), p2, -1)
-
-def pneg(p):
-    return {k: -c for k, c in p.items()}
 
 def pscale(p, c, key=(0, 0, 0)):
     c = _co(c)
@@ -178,13 +174,6 @@ def pdivexact(num, den):
             else:
                 rem.pop(kk, None)
     return quo
-
-
-def pdivides(num, den):
-    try:
-        return pdivexact(num, den)
-    except InexactDivision:
-        return None
 
 
 def psubstitute(p, q=None, t=None, a=None):
@@ -327,126 +316,6 @@ def a_atom(mq, mt):
 
 
 # ---------------------------------------------------------------------------
-# Scal: poly / product-of-atoms
-
-class Scal:
-    """num / prod(den atoms); auto-cancels atoms that divide the numerator.
-
-    The numerator is never factored, so a Scal has no general inverse:
-    divisors come as FactoredBinomials (`div`).
-    """
-
-    __slots__ = ('num', 'den')
-
-    def __init__(self, num, den=(), reduce=True):
-        if isinstance(num, (int, Fraction)):
-            num = pmono(c=num)
-        if den and num and reduce:
-            den = list(den)
-            i = 0
-            while i < len(den):
-                quo = pdivides(num, atom_expand_cached(den[i]))
-                if quo is not None:
-                    num = quo
-                    den.pop(i)
-                else:
-                    i += 1
-            den = tuple(sorted(den))
-        elif den:
-            den = tuple(sorted(den)) if num else ()
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def one():
-        return Scal(pone())
-
-    @staticmethod
-    def zero():
-        return Scal({})
-
-    @staticmethod
-    def mono(eq=0, et=0, ea=0, c=1):
-        return Scal(pmono(eq, et, ea, c))
-
-    def is_zero(self):
-        return not self.num
-
-    def is_poly(self):
-        return not self.den
-
-    def __eq__(self, other):
-        if not isinstance(other, Scal):
-            return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.sub(other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("Scal is unhashable")
-
-    def add(self, other):
-        if self.den == other.den:
-            return Scal(padd(self.num, other.num), self.den)
-        common = _multiset_union(self.den, other.den)
-        n1 = self.num
-        for atm in _multiset_sub(common, self.den):
-            n1 = pmul(n1, atom_expand_cached(atm))
-        n2 = other.num
-        for atm in _multiset_sub(common, other.den):
-            n2 = pmul(n2, atom_expand_cached(atm))
-        return Scal(padd(n1, n2), common)
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def neg(self):
-        return Scal(pneg(self.num), self.den, reduce=False)
-
-    def mul(self, other):
-        return Scal(pmul(self.num, other.num), self.den + other.den)
-
-    def scale(self, c, key=(0, 0, 0)):
-        # self is reduced, and a unit times a monomial cannot make one of
-        # its denominator atoms divide
-        return Scal(pscale(self.num, c, key), self.den, reduce=False)
-
-    def div(self, fb):
-        """Divide by a FactoredBinomial: scale by its inverse unit and
-        monomial, and append its atoms to the denominator."""
-        inv_key = (_ex(-fb.key[0]), _ex(-fb.key[1]), -fb.key[2])
-        return Scal(pscale(self.num, 1 / fb.coeff, inv_key),
-                    self.den + fb.atoms)
-
-    def as_poly(self):
-        if self.den:
-            raise InexactDivision(f"uncancelled denominator {self.den}")
-        return self.num
-
-    def __repr__(self):
-        if self.is_poly():
-            return f"Scal({poly_text(self.num)})"
-        return f"Scal(({poly_text(self.num)})/{self.den})"
-
-
-def _multiset_union(a, b):
-    out = list(a)
-    pool = list(a)
-    for x in b:
-        if x in pool:
-            pool.remove(x)
-        else:
-            out.append(x)
-    return tuple(sorted(out))
-
-def _multiset_sub(a, b):
-    out = list(a)
-    for x in b:
-        out.remove(x)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # FactoredBinomial
 
 class FactoredBinomial:
@@ -502,6 +371,27 @@ class FactoredBinomial:
 def binomial_fb(eq, et):
     """1 - q^eq t^et as a FactoredBinomial."""
     return FactoredBinomial(*binomial_atoms(eq, et))
+
+
+class Quotient(NamedTuple):
+    """num / prod(den atoms), where no atom of den divides num."""
+    num: dict
+    den: tuple
+
+
+def quotient(num, fb):
+    """num / fb, fb a FactoredBinomial, as a Quotient: num scaled by fb's
+    inverse unit and monomial, and divided by every atom of fb that
+    divides it; the atoms left are the denominator, sorted."""
+    num = pscale(num, 1 / fb.coeff,
+                 (_ex(-fb.key[0]), _ex(-fb.key[1]), -fb.key[2]))
+    den = []
+    for atm in fb.atoms:
+        try:
+            num = pdivexact(num, atom_expand_cached(atm))
+        except InexactDivision:
+            den.append(atm)
+    return Quotient(num, tuple(den))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Every normalization divide the tests make is checked against its oracle.
 
-`pipeline._div_j_eval` divides a coinvariant value by J_lam(q^{-rho_k}) in
-lattice units.  For the whole session it is wrapped so that each call also
-runs the Scal route it replaced (`norms.div_j_eval_scal`): both must give
-the same poly, or the lattice route raises InexactDivision exactly when the
-Scal route keeps a denominator atom.
+`pipeline._div_j_eval` divides a coinvariant value by the coinvariant of
+the J_lam it builds, in lattice units.  For the whole session it is wrapped
+so that each call also runs the closed-form route (`norms.div_j_eval_scal`,
+h_lam times Macdonald's product for P_lam(q^{-rho_k}), in Scal form): both
+must give the same poly, or the lattice route raises InexactDivision
+exactly when the Scal route keeps a denominator atom.
 """
 
 import pytest
 
 from dahalink import pipeline as pl
 from dahalink.daha import get_rep
-from dahalink.scalars import InexactDivision, Scal
+from dahalink.scalars import InexactDivision
 from norms import div_j_eval_scal
+from scal import Scal
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -18,7 +18,8 @@ from itertools import permutations
 
 from dahalink import weights as wt
 from dahalink.daha import xp_mono
-from dahalink.scalars import Scal, FactoredBinomial, binomial_fb, _ex
+from dahalink.scalars import FactoredBinomial, binomial_fb, _ex
+from scal import Scal
 
 
 class EigenvalueCollision(Exception):

@@ -1,7 +1,7 @@
 """Test oracle: factor a poly into a unit, a monomial and binomial atoms.
 
 The package never factors a polynomial: every divisor is built factored
-where it arises and handed to `Scal.div` as a FactoredBinomial.  Tests that
+where it arises, as a FactoredBinomial.  Tests that
 invert a general Scal (a coinvariant ratio, a closed evaluation, a norm)
 recover the factors with the trial-division search below.
 """
@@ -10,10 +10,10 @@ from fractions import Fraction
 from math import gcd
 
 from dahalink.scalars import (
-    Scal, FactoredBinomial, ZeroPolynomial, pone, pmono, pmul, pscale,
-    pdivides, binomial_atoms, a_atom, atom_expand_cached, key_mul,
-    poly_text, _ex,
+    FactoredBinomial, ZeroPolynomial, pone, pmono, pmul, pscale,
+    binomial_atoms, a_atom, atom_expand_cached, key_mul, poly_text, _ex,
 )
+from scal import Scal, pdivides
 
 
 class NotABinomialProduct(Exception):

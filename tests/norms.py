@@ -1,23 +1,50 @@
-"""Test oracle: closed E evaluations, spherical norms and the mu-pairing.
+"""Test oracle: closed evaluations, spherical norms and the mu-pairing.
 
-The package evaluates only P_lambda in closed form (`Mac.P_eval`, the
-divisor of `jd_raw`).  Tests check E and P against independent routes:
+The package evaluates J_lambda at the coinvariant point q^{-rho_k} only by
+taking the coinvariant of the J it builds.  Tests check E and P against
+independent routes: the closed product P_lambda(q^{-rho_k}) (`P_eval`),
 E_b(q^{-rho_k}) from the Lambda_b^+ products, the spherical norm from its
 finite product and its a-stable form, and the truncated constant-term
-mu-pairing that all of them must agree with.  `div_j_eval_scal` is the
-Scal route of the normalization divide, the oracle of the lattice route
-`pipeline._div_j_eval`.
+mu-pairing that all of them must agree with.  `div_j_eval_scal` divides by
+h_lambda times the closed product in Scal form: it is the oracle of the
+normalization divide `pipeline._div_j_eval`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from dahalink import weights as wt
-from dahalink.scalars import (Scal, FactoredBinomial, pmono, pone, pmul,
+from dahalink.scalars import (FactoredBinomial, pmono, pone, pmul,
                               padd_into, pscale, _ex, _cyclo_coeffs,
                               binomial_fb)
-from dahalink.macdonald import _rho_weight, get_mac
-from scal_xpoly import xp_one, xp_add_into, xp_scale, xp_mul
+from dahalink.macdonald import get_mac
+from scal import Scal
+from scal_xpoly import xp_one, xp_add_into, xp_scale, xp_mul, p_scal
 from weyl import eval_products
+
+
+def _rho_weight(n):
+    return tuple([1] * n)
+
+
+@lru_cache(maxsize=None)
+def P_eval(mac, lam):
+    """Closed-form P_lambda(q^{-rho_k}) as (num, den) FactoredBinomials,
+    the power of t folded into num: a product over pairs of b's epsilon
+    coordinates."""
+    b = wt.to_weight(lam, mac.n)
+    vb = wt.to_eps(b)
+    n1 = mac.n + 1
+    num = FactoredBinomial.one()
+    den = FactoredBinomial.one()
+    for l in range(n1):
+        for m in range(l + 1, n1):
+            p = m - l
+            for j in range(0, vb[l] - vb[m]):
+                num = num.mul(binomial_fb(j, p + 1))
+                den = den.mul(binomial_fb(j, p))
+    shift = -wt.pairing(b, _rho_weight(mac.n))
+    return num.mul(FactoredBinomial(1, (0, shift, 0))), den
 
 
 def ratio_scal(num, den, t_shift):
@@ -41,14 +68,14 @@ def div_j_eval_scal(val, rank, lam):
     does not divide the value stays in the denominator."""
     if not lam:
         return val
-    num, den = get_mac(rank).P_eval(lam)
+    num, den = P_eval(get_mac(rank), lam)
     num, den = wt.h_lambda(lam).mul(num).cancel(den)
     return val.mul(Scal(den.expand())).div(num)
 
 
 def P_spherical(mac, lam):
-    num, den = mac.P_eval(lam)
-    return xp_scale(mac.P(lam), Scal(den.expand()).div(num))
+    num, den = P_eval(mac, lam)
+    return xp_scale(p_scal(mac, lam), Scal(den.expand()).div(num))
 
 
 def norm_spherical(mac, lam):

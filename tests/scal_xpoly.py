@@ -1,19 +1,19 @@
-"""XPolys with Scal coefficients, as `Mac` returns P.
+"""XPolys with Scal coefficients.
 
 The operators of `daha` act on lattice XPolys, and `Mac.J` is one; `Mac.E`
 is one over a factored denominator.  The oracles and checks in the tests
 work on Scal XPolys with the helpers below; `xp_to_lattice` and `to_scal`
 convert between the two forms, `e_scal` turns `Mac.E`'s pair into one,
-`apply_linear` applies an operator to a Scal XPoly by linearity, one
-monomial at a time, and `j_scal` builds J_lambda by Scal division, the
-oracle of `Mac.J`.
+`p_scal` gives monic P_lambda as J_lambda over h_lambda, `apply_linear`
+applies an operator to a Scal XPoly by linearity, one monomial at a time,
+and `j_scal` builds J_lambda by Scal division, the oracle of `Mac.J`.
 """
 
 from fractions import Fraction
 
 from dahalink import weights as wt
 from dahalink.daha import OffLattice
-from dahalink.scalars import Scal
+from scal import Scal
 
 HALF = Fraction(1, 2)
 
@@ -101,6 +101,13 @@ def e_scal(mac, b):
     num, den = mac.E(b)
     return {c: Scal(mac.rep.from_lattice(v)).div(den)
             for c, v in num.items()}
+
+
+def p_scal(mac, lam):
+    """Monic P_lambda = J_lambda / h_lambda as a Scal XPoly."""
+    h = wt.h_lambda(lam)
+    return {c: Scal(mac.rep.from_lattice(v)).div(h)
+            for c, v in mac.J(lam).items()}
 
 
 def apply_linear(rep, op, f):

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dahalink import weights as wt
-from dahalink.scalars import (Scal, InexactDivision, hat_normalize,
-                              poly_parse, poly_text, pmono, padd_into)
+from dahalink.scalars import (InexactDivision, hat_normalize, poly_parse,
+                              poly_text, pmono, padd_into)
 from dahalink.daha import (
     get_rep, xp_one, xp_mono, xp_add_into, NotCoprime, OffLattice, T_LIMIT,
     lp_divexact, word_matrix, word_of_rs, gamma_hat_project, _core_project,
 )
 from dahalink.macdonald import get_mac
 from factoring import scal_inv
+from scal import Scal
 import scal_xpoly as sx
 from scal_xpoly import HALF, minus_rho_k, to_scal
 

@@ -9,22 +9,23 @@ from fractions import Fraction
 import pytest
 
 from dahalink import weights as wt
-from dahalink.scalars import (Scal, FactoredBinomial, InexactDivision,
-                              pmul, pmono, pone, psubstitute,
-                              atom_expand_cached, poly_parse, binomial_fb,
-                              _ex)
+from dahalink.scalars import (FactoredBinomial, InexactDivision, pmul,
+                              pmono, pone, psubstitute, atom_expand_cached,
+                              poly_parse, binomial_fb, _ex)
 from dahalink import daha
 from dahalink.daha import get_rep, word_of_rs, gamma_hat_project
-from dahalink.macdonald import Mac, get_mac, NotMonic, _rho_weight
+from dahalink.macdonald import Mac, get_mac, NotMonic
 from e_solve import (span_weights, span_solve, solved, eigen_exp,
                      NonTerminating)
 from factoring import factored, scal_inv
+from scal import Scal
 from scal_xpoly import (xp_one, xp_mono, xp_add, xp_add_into, xp_eq,
                         xp_eval, xp_scale, to_scal, apply_linear, HALF,
-                        minus_rho_k, xp_to_lattice, j_scal, e_scal)
+                        minus_rho_k, xp_to_lattice, j_scal, e_scal, p_scal)
 import weyl
-from norms import (E_eval, P_spherical, norm_spherical, norm_stable,
-                   ratio_scal, mu_inner_truncated, star_scal, star_xpoly)
+from norms import (E_eval, P_eval, P_spherical, norm_spherical, norm_stable,
+                   ratio_scal, mu_inner_truncated, star_scal, star_xpoly,
+                   _rho_weight)
 
 
 def scal_parse(num_text, den_atoms=()):
@@ -32,8 +33,8 @@ def scal_parse(num_text, den_atoms=()):
 
 
 def p_eval(m, lam):
-    """Mac.P_eval's (num, den) pair as one Scal."""
-    num, den = m.P_eval(lam)
+    """The closed product P_eval's (num, den) pair as one Scal."""
+    num, den = P_eval(m, lam)
     return Scal(num.expand()).div(den)
 
 
@@ -177,7 +178,7 @@ def _span_union(n, boxes):
     """The weights in the spans of the colors of at most `boxes` boxes at
     rank n, each once."""
     out = {}
-    for lam in _colors(boxes):
+    for lam in weyl.diagrams(boxes):
         if len(lam) <= n:
             out.update(dict.fromkeys(span_weights(wt.to_weight(lam, n))))
     return list(out)
@@ -207,7 +208,7 @@ def test_E_content_is_cancelled(n, boxes):
     of each T step is divided out, and a pi step only moves and shifts
     coefficients."""
     m = get_mac(n)
-    for lam in _colors(boxes):
+    for lam in weyl.diagrams(boxes):
         if len(lam) <= n:
             m.E(wt.to_weight(lam, n))
     for c, (num, den) in m._E.items():
@@ -266,16 +267,16 @@ def test_pi_intertwiner_maps_E_c_to_E_c_prime(n):
 
 def test_P_minuscule_orbit_sums():
     m1 = get_mac(1)
-    assert xp_eq(m1.P((1,)), xp_add(xp_mono((1,)), xp_mono((-1,))))
+    assert xp_eq(p_scal(m1, (1,)), xp_add(xp_mono((1,)), xp_mono((-1,))))
     m2 = get_mac(2)
     want = {(1, 0): Scal.one(), (-1, 1): Scal.one(), (0, -1): Scal.one()}
-    assert xp_eq(m2.P((1,)), want)
+    assert xp_eq(p_scal(m2, (1,)), want)
 
 
 def test_P_two_omega():
     # P_(2) = X^2 + X^-2 + (1+q)(1-t)/(1-qt)
     m = get_mac(1)
-    P = m.P((2,))
+    P = p_scal(m, (2,))
     mid = scal_parse("-1 - q + t + q*t", [('c', 1, 1, 1)])
     assert P[(0,)].sub(mid).is_zero()
     assert P[(2,)].sub(Scal.one()).is_zero()
@@ -287,7 +288,7 @@ def test_P_two_omega():
 def test_P_hecke_invariant_and_monic(n, lam):
     m = get_mac(n)
     rep = get_rep(n)
-    P = m.P(lam)
+    P = p_scal(m, lam)
     assert P[wt.to_weight(lam, n)].sub(Scal.one()).is_zero()
     for i in range(1, n + 1):
         TP = apply_linear(rep, lambda g: rep.t_op(i, g), P)
@@ -296,7 +297,7 @@ def test_P_hecke_invariant_and_monic(n, lam):
 
 def test_P_rank_guard():
     with pytest.raises(wt.RankTooSmall):
-        get_mac(1).P((1, 1))
+        p_scal(get_mac(1), (1, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -318,7 +319,7 @@ def test_symmetrize_lead_is_stabilizer_poincare(n):
 def test_P_raises_when_the_lead_is_not_the_poincare_product(monkeypatch):
     monkeypatch.setattr(wt, "poincare", lambda b: FactoredBinomial.one())
     with pytest.raises(NotMonic):
-        Mac(2).P((1,))
+        p_scal(Mac(2), (1,))
 
 
 def test_poincare_of_zero_is_the_full_group():
@@ -350,7 +351,7 @@ def test_eval_closed_equals_substitution(n, lams, bs):
     m = get_mac(n)
     pt = minus_rho_k(n)
     for lam in lams:
-        assert xp_eval(m.P(lam), pt).sub(p_eval(m, lam)).is_zero()
+        assert xp_eval(p_scal(m, lam), pt).sub(p_eval(m, lam)).is_zero()
     for b in bs:
         assert xp_eval(e_scal(m, b), pt).sub(E_eval(m, b)).is_zero()
 
@@ -382,25 +383,13 @@ def test_J_integral(n, lam):
     assert all(type(v) is int for c in m.J(lam).values() for v in c.values())
 
 
-def _colors(boxes):
-    """Every Young diagram with at most `boxes` boxes, the empty one
-    excepted."""
-    def parts(k, top):
-        if not k:
-            yield ()
-        for row in range(min(k, top), 0, -1):
-            for rest in parts(k - row, row):
-                yield (row,) + rest
-    return [lam for k in range(1, boxes + 1) for lam in parts(k, k)]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_J_matches_the_scal_route(n):
     """The lattice J, divided by one factored divisor, equals the Scal
     route's J (divide by the Poincare product, then multiply by h_lam) for
     every color of at most 4 boxes."""
     m = get_mac(n)
-    for lam in _colors(4):
+    for lam in weyl.diagrams(4):
         if len(lam) <= n:
             assert m.J(lam) == xp_to_lattice(m.rep, j_scal(m, lam)), lam
 
@@ -450,7 +439,7 @@ def test_expand_in_E_examples():
 @pytest.mark.parametrize("n,lam", [(1, (2,)), (2, (2, 1))])
 def test_expand_resum(n, lam):
     m = get_mac(n)
-    P = m.P(lam)
+    P = p_scal(m, lam)
     assert xp_eq(from_E(m, expand_in_E(m, P)), P)
 
 
@@ -499,14 +488,14 @@ def test_leading_tau_minus_run_acts_diagonally(n, lam, rs):
 
 def test_apply_fY_identity():
     m = get_mac(1)
-    g = m.P((2,))
+    g = p_scal(m, (2,))
     assert xp_eq(apply_fY(m, xp_one(1), g, 1), g)
 
 
 def test_apply_fY_hopf_eigenvalue():
     # P_box(Y^{-1}) P_box = (q^{(w,w+rho_k)} + q^{-(w,w+rho_k)}) P_box
     m = get_mac(1)
-    P = m.P((1,))
+    P = p_scal(m, (1,))
     got = apply_fY(m, P, P, 1)
     lam = Scal.mono(eq=HALF2, et=HALF2).add(Scal.mono(eq=-HALF2, et=-HALF2))
     assert xp_eq(got, xp_scale(P, lam))
@@ -519,7 +508,7 @@ HALF2 = Fraction(1, 2)
 def test_apply_fY_matches_y_op(sign):
     m = get_mac(2)
     rep = get_rep(2)
-    g = m.P((2, 1))
+    g = p_scal(m, (2, 1))
     for fb in [(1, 0), (0, 1), (1, 1)]:
         via = apply_fY(m, {fb: Scal.one()}, g, sign)
         b = tuple(-sign * x for x in fb)
@@ -538,7 +527,7 @@ def test_mu_inner_one():
 
 def test_mu_orthogonality():
     m = get_mac(1)
-    assert mu_inner_truncated(m.P((1,)), m.P((2,)), 1, 4).is_zero()
+    assert mu_inner_truncated(p_scal(m, (1,)), p_scal(m, (2,)), 1, 4).is_zero()
     assert mu_inner_truncated(e_scal(m, (1,)), e_scal(m, (-1,)), 1,
                               4).is_zero()
 
@@ -575,7 +564,7 @@ def test_norm_spherical_vs_E_norm_sum(n, lam):
     """Independent route: expand P in E's and sum squared E-norms."""
     m = get_mac(n)
     acc = Scal.zero()
-    for e, c in expand_in_E(m, m.P(lam)).items():
+    for e, c in expand_in_E(m, p_scal(m, lam)).items():
         acc = acc.add(c.mul(star_scal(c)).mul(E_norm_from_lambda_plus(e)))
     ev = p_eval(m, lam)
     sph = acc.mul(scal_inv(ev)).mul(scal_inv(star_scal(ev)))

@@ -14,11 +14,12 @@ from dahalink.links import (
     norm_diagram, deg_a_bound,
 )
 from dahalink.scalars import (
-    Scal, FactoredBinomial, InexactDivision, poly_parse, poly_text, pmul,
-    ppow, pdivexact, psubstitute, hat_normalize,
+    FactoredBinomial, InexactDivision, poly_parse, poly_text, pmul, ppow,
+    pdivexact, psubstitute, hat_normalize,
 )
 import dahalink
 from dahalink import pipeline as pl
+from dahalink import weights as wt
 from dahalink.cli import main
 from dahalink.daha import (
     get_rep, gamma_hat_project, word_of_rs, xp_add_into, lp_add_into,
@@ -27,6 +28,9 @@ from dahalink.daha import (
 from dahalink.macdonald import Mac, NotMonic, get_mac
 from degree import exact_deg_a
 from homfly import rosso_jones
+from norms import P_eval
+from scal import Scal
+from weyl import diagrams
 
 
 TREFOIL = "{[3,2]->(1)}"
@@ -239,8 +243,8 @@ def test_hopf_dagger_unknot():
     v = pl.hopf_vertex(((1,), (1,)))
     assert v.super.poly == poly_parse("1 + a*q + a*t^-1 - a*q*t^-1")
     # dagger form divides by (1+a): (1 + a(q + 1/t - q/t)) rescaled
-    num = Scal(pmul(v.super.poly, poly_parse("1")))
-    assert v.dagger.mul(Scal(poly_parse("1 + a"))).as_poly() == v.super.poly
+    dag = Scal(v.dagger.num, v.dagger.den)
+    assert dag.mul(Scal(poly_parse("1 + a"))).as_poly() == v.super.poly
 
 
 def test_hopf_triple_uncolored():
@@ -268,23 +272,25 @@ def test_hopf_pair_with_vee_meridian():
 # ---------------------------------------------------------------------------
 # specializations
 
-def _times(scal, text):
-    return scal.mul(Scal(poly_parse(text))).as_poly()
+def _times(h, text):
+    return Scal(h.num, h.den).mul(Scal(poly_parse(text))).as_poly()
 
 
 def test_homfly_t22():
     h = pl.spec_homfly(sup(T22))
     assert _times(h, "1 - q") == poly_parse("1 - q + q^2 - a*q")
+    assert h.den == (('c', 1, 1, 0),)
 
 
 def test_homfly_unknot_unreduced():
     h = pl.spec_homfly(sup("{[1,0]->(1)}"), reduced=False)
     assert _times(h, "1 - q") == poly_parse("1 - a")
+    assert h.den == (('c', 1, 1, 0),)
 
 
 def test_homfly_trefoil_reduced_polynomial():
     h = pl.spec_homfly(sup(TREFOIL))
-    assert h.as_poly() == poly_parse("1 + q^2 - a*q")
+    assert Scal(h.num, h.den).as_poly() == poly_parse("1 + q^2 - a*q")
 
 
 def test_alexander_values():
@@ -340,7 +346,8 @@ def test_homfly_matches_rosso_jones(m, n):
     """The t = q slice, every a-degree of it, against a reference that
     does not use DAHA."""
     want = hat_normalize(rosso_jones(m, n))[0]
-    got = pl.spec_homfly(sup("{[%d,%d]->(1)}" % (m, n))).as_poly()
+    h = pl.spec_homfly(sup("{[%d,%d]->(1)}" % (m, n)))
+    got = Scal(h.num, h.den).as_poly()
     assert hat_normalize(got)[0] == want
 
 
@@ -433,13 +440,27 @@ def test_normalization_divide_plants():
     is not divisible: the lattice divide raises InexactDivision."""
     rank, lam = 2, (2, 1)
     rep = get_rep(rank)
-    assert pl._lattice_norm(rank, lam)[1]       # atoms are left to divide
     j = rep.coinvariant(get_mac(rank).J(lam))
     g = rep.to_lattice(poly_parse("q^(1/6) - 2*t^3 + q^2*t^(-1/2)"))
     assert pl._div_j_eval(lp_mul(j, g), rank, lam) == g
     bad = lp_add_into(lp_mul(j, g), rep.to_lattice(poly_parse("1")))
     with pytest.raises(InexactDivision):
         pl._div_j_eval(bad, rank, lam)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_normalization_is_h_lambda_times_the_closed_evaluation(rank):
+    """J_lam at the coinvariant point, the coinvariant of the J the
+    pipeline builds, equals h_lam times Macdonald's closed product for
+    P_lam(q^{-rho_k}), for every color of up to 4 boxes."""
+    rep = get_rep(rank)
+    for lam in diagrams(4):
+        if len(lam) > rank:
+            continue
+        num, den = P_eval(get_mac(rank), lam)
+        want = Scal(wt.h_lambda(lam).mul(num).expand()).div(den)
+        assert rep.from_lattice(pl._j_eval(rank, lam)) == want.as_poly(), \
+            (rank, lam)
 
 
 def test_q1_factorization():
@@ -601,6 +622,26 @@ def test_cli_bad_link():
     for link in ("{[3,2]->", '{"components": [[{"labels": []}]]}'):
         with pytest.raises(SystemExit):
             main(["super", link])
+
+
+EMPTY_COMPONENT = ['{"components": [[]]}',
+                   '{"components": [[{"labels": [[3, 2]], "color": [1]}],'
+                   ' []]}']
+
+
+@pytest.mark.parametrize("link", EMPTY_COMPONENT, ids=["only", "second"])
+def test_an_empty_component_is_a_bad_link(link, capsys):
+    with pytest.raises(ValueError, match="at least one path"):
+        parse_dsl(link)
+    with pytest.raises(SystemExit) as e:
+        main(["super", link])
+    assert e.value.code == 2
+    assert "bad link" in capsys.readouterr().err
+
+
+def test_hopf_vertex_of_no_colors_is_refused():
+    with pytest.raises(ValueError, match="at least one path"):
+        pl.hopf_vertex(())
 
 
 def test_cli_rank_too_small(capsys):

@@ -6,16 +6,17 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dahalink import scalars
 from dahalink.scalars import (
-    Scal, FactoredBinomial, ZeroPolynomial, ZeroAtAEqualsZero,
+    FactoredBinomial, ZeroPolynomial, ZeroAtAEqualsZero,
     InexactDivision, FractionalResidue,
-    pone, pmono, padd, psub, pmul, ppow, pscale, pdivexact, pdivides,
+    pone, pmono, padd, psub, pmul, ppow, pscale, pdivexact,
     psubstitute, hat_normalize, binomial_atoms, binomial_fb, a_atom,
     atom_expand_cached, series_divide, poly_text, poly_parse, _cyclo_coeffs,
-    _multiset_union,
+    quotient,
 )
 from factoring import NotABinomialProduct, factor_binomials, scal_inv
+import scal
+from scal import Scal, pdivides, _multiset_union
 
 
 def P(text):
@@ -269,6 +270,17 @@ def test_scal_div_by_factored_binomial():
     assert s.num == P("-1 - q")
 
 
+def test_quotient_keeps_only_the_atoms_that_do_not_divide():
+    # the same division as above, into a Quotient
+    fb = binomial_fb(1, 1).mul(FactoredBinomial(-1, (-1, 0, 0)))
+    assert quotient(P("1 - q^2*t^2"), fb) == (P("-q - q^2*t"), ())
+    fb = binomial_fb(0, 1).mul(FactoredBinomial(1, (0, 0, 0),
+                                                (('c', 2, 0, 1),)))
+    h = quotient(P("1 + q"), fb)
+    assert h == (P("-1 - q"), (('c', 1, 0, 1), ('c', 2, 0, 1)))
+    assert (h.num, h.den) == tuple(h)
+
+
 def test_scal_eq_cross_multiplied():
     a = Scal(P("1 - q^2*t^2"), (('c', 2, 1, 1),))
     b = Scal(pscale(P("1 - q*t"), 1))
@@ -280,8 +292,8 @@ def test_scal_scale_runs_no_trial_division(monkeypatch):
     assert len(s.den) == 2
     want = Scal(pscale(s.num, -3, (1, -2, 0)), s.den)
     calls = []
-    pdivides = scalars.pdivides
-    monkeypatch.setattr(scalars, "pdivides",
+    pdivides = scal.pdivides
+    monkeypatch.setattr(scal, "pdivides",
                         lambda n, d: calls.append(d) or pdivides(n, d))
     got = s.scale(-3, (1, -2, 0))
     assert calls == []

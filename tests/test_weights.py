@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dahalink import weights as wt
-from dahalink.scalars import FactoredBinomial, poly_parse, pmul, Scal
+from dahalink.scalars import FactoredBinomial, poly_parse, pmul
 from dahalink.weights import (
     RankMismatch, RankTooSmall,
     to_eps, from_eps, fundamental, zero, wt_add, wt_neg, theta, alpha,

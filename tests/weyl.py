@@ -54,6 +54,18 @@ def to_diagram(b):
     return tuple(lam)
 
 
+def diagrams(boxes):
+    """Every Young diagram with at most `boxes` boxes, the empty one
+    excepted."""
+    def parts(k, top):
+        if not k:
+            yield ()
+        for row in range(min(k, top), 0, -1):
+            for rest in parts(k - row, row):
+                yield (row,) + rest
+    return [lam for k in range(1, boxes + 1) for lam in parts(k, k)]
+
+
 # ---------------------------------------------------------------------------
 # Lambda_b^+ and the integrality factor
 
