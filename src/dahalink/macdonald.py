@@ -24,7 +24,9 @@ symmetrizer factors through parabolic coset sums, so |W| never appears).
 E and J are lattice XPolys, the form the operators of `daha` act on.  J
 multiplies the symmetrized numerator of E by one lattice poly and divides
 it exactly by another, the two sides of one factored ratio.  Its value at
-the coinvariant point is the pipeline's normalization.
+the coinvariant point, the pipeline's normalization, needs no
+symmetrizing (`J_value`): the symmetrizer acts on the coinvariant as a
+scalar.
 """
 
 from __future__ import annotations
@@ -155,11 +157,28 @@ class Mac:
             if lat.get(b) != self.rep.to_lattice(lead.expand()):
                 raise NotMonic(f"symmetrize(E_{b}) at X_{b} is not the "
                                f"stabilizer's {stab}")
-            up, down = (self.rep.to_lattice(f.expand())
-                        for f in wt.h_lambda(lam).cancel(lead))
+            up, down = self._ratio(wt.h_lambda(lam), lead)
             hit = self._J[lam] = {c: lp_divexact(lp_mul(v, up), down)
                                   for c, v in lat.items()}
         return hit
+
+    def J_value(self, lam):
+        """J_lambda at the coinvariant point (`Rep.coinvariant`), from E_b
+        without symmetrizing.  The coinvariant of T_i f is t^{1/2} times
+        that of f, so the symmetrizer multiplies it by sum_w t^{l(w)}, the
+        Poincare polynomial of S_{n+1}: the value is E_b's numerator's
+        times h_lambda poincare(0) / (poincare(b) den)."""
+        b = wt.to_weight(lam, self.n)
+        num, den = self.E(b)
+        up, down = self._ratio(
+            wt.h_lambda(lam).mul(wt.poincare((0,) * self.n)),
+            wt.poincare(b).mul(den))
+        return lp_divexact(lp_mul(self.rep.coinvariant(num), up), down)
+
+    def _ratio(self, up, down):
+        """The FactoredBinomials up / down with their shared atoms
+        cancelled, each expanded to a lattice poly."""
+        return (self.rep.to_lattice(f.expand()) for f in up.cancel(down))
 
 
 @lru_cache(maxsize=None)

@@ -97,8 +97,10 @@ def _apply_fY(rep, f, g, sign=1):
 
 @lru_cache(maxsize=None)
 def _j_eval(rank, lam):
-    """J_lam(q^{-rho_k}), the coinvariant of J_lam, as a lattice poly."""
-    return get_rep(rank).coinvariant(get_mac(rank).J(lam))
+    """J_lam(q^{-rho_k}), the coinvariant of J_lam, as a lattice poly.
+    It comes from E_b alone (`Mac.J_value`), so a normalization color that
+    is none of the link's colors costs no J."""
+    return get_mac(rank).J_value(lam)
 
 
 def _div_j_eval(p, rank, lam):

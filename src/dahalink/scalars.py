@@ -94,9 +94,6 @@ def padd_into(acc, p, scale=1):
             acc.pop(k, None)
     return acc
 
-def padd(p1, p2):
-    return padd_into(dict(p1), p2)
-
 def psub(p1, p2):
     return padd_into(dict(p1), p2, -1)
 

@@ -1,7 +1,7 @@
 """Every normalization divide the tests make is checked against its oracle.
 
-`pipeline._div_j_eval` divides a coinvariant value by the coinvariant of
-the J_lam it builds, in lattice units.  For the whole session it is wrapped
+`pipeline._div_j_eval` divides a coinvariant value by J_lam at the
+coinvariant point (`Mac.J_value`), in lattice units.  For the whole session it is wrapped
 so that each call also runs the closed-form route (`norms.div_j_eval_scal`,
 h_lam times Macdonald's product for P_lam(q^{-rho_k}), in Scal form): both
 must give the same poly, or the lattice route raises InexactDivision

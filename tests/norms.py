@@ -1,7 +1,7 @@
 """Test oracle: closed evaluations, spherical norms and the mu-pairing.
 
-The package evaluates J_lambda at the coinvariant point q^{-rho_k} only by
-taking the coinvariant of the J it builds.  Tests check E and P against
+The package evaluates J_lambda at the coinvariant point q^{-rho_k} only
+from its own E_b (`Mac.J_value`).  Tests check E and P against
 independent routes: the closed product P_lambda(q^{-rho_k}) (`P_eval`),
 E_b(q^{-rho_k}) from the Lambda_b^+ products, the spherical norm from its
 finite product and its a-stable form, and the truncated constant-term

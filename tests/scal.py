@@ -11,9 +11,13 @@ numerator exactly.
 
 from fractions import Fraction
 
-from dahalink.scalars import (InexactDivision, pmono, pone, padd, pmul,
-                              pscale, pdivexact, atom_expand_cached,
+from dahalink.scalars import (InexactDivision, pmono, pone, padd_into,
+                              pmul, pscale, pdivexact, atom_expand_cached,
                               poly_text, _ex)
+
+
+def padd(p1, p2):
+    return padd_into(dict(p1), p2)
 
 
 def pdivides(num, den):

@@ -450,17 +450,19 @@ def test_normalization_divide_plants():
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_normalization_is_h_lambda_times_the_closed_evaluation(rank):
-    """J_lam at the coinvariant point, the coinvariant of the J the
-    pipeline builds, equals h_lam times Macdonald's closed product for
-    P_lam(q^{-rho_k}), for every color of up to 4 boxes."""
-    rep = get_rep(rank)
+    """J_lam at the coinvariant point, the normalization the pipeline
+    divides by, is taken from E_b without symmetrizing.  It equals the
+    coinvariant of the lattice J and h_lam times Macdonald's closed
+    product for P_lam(q^{-rho_k}), for every color of up to 4 boxes."""
+    rep, mac = get_rep(rank), get_mac(rank)
     for lam in diagrams(4):
         if len(lam) > rank:
             continue
-        num, den = P_eval(get_mac(rank), lam)
+        val = pl._j_eval(rank, lam)
+        assert val == rep.coinvariant(mac.J(lam)), (rank, lam)
+        num, den = P_eval(mac, lam)
         want = Scal(wt.h_lambda(lam).mul(num).expand()).div(den)
-        assert rep.from_lattice(pl._j_eval(rank, lam)) == want.as_poly(), \
-            (rank, lam)
+        assert rep.from_lattice(val) == want.as_poly(), (rank, lam)
 
 
 def test_q1_factorization():
