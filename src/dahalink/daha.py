@@ -41,6 +41,15 @@ weight is one T_i away from a weight nearer the dominant chamber, by the
 affine Hecke relation between T_i and O_b (Lusztig, J. AMS 2 (1989)),
 which holds on g because T_i g = t^{1/2} g there.  `Rep.y_op` is the plain
 product of Y_{+-omega_r} steps, for any f.
+
+The pipeline's value is a coinvariant, and the coinvariant satisfies
+{T_i h} = t^{1/2} {h} for i = 1..n and any h (Cherednik, arXiv:1111.6195).
+So where a caller keeps only the coinvariant of a sum of f_b O_b g (the
+root projection of a knot, the Y-pass of a pair), `apply_weights` still
+builds O_b g as an XPoly for dominant b, which the fundamental steps need,
+but takes every other weight's value at the point only: the reflection
+becomes a recursion on lattice polys.  A value at the point travels as an
+XPoly on the zero weight, whose coinvariant is its coefficient.
 """
 
 from __future__ import annotations
@@ -166,9 +175,6 @@ def lp_divexact(num, den):
 
 def xp_one(n):
     return {wt.zero(n): {0: 1}}
-
-def xp_mono(b):
-    return {tuple(b): {0: 1}}
 
 def xp_add_into(acc, f, scale=None):
     """acc += scale * f in place.  acc owns its coefficient dicts: a new
@@ -510,25 +516,27 @@ def word_of_rs(r, s):
 # ---------------------------------------------------------------------------
 # the projection gamma-hat(Q) evaluated at 1
 
-def gamma_hat_project(word, Q, rep):
+def gamma_hat_project(word, Q, rep, point=False):
     """Apply the tau-word lift to a polynomial and project back to V.
 
     Trailing tau_+ letters fix every X_b, so they are stripped before the
-    rest of the word is lifted by `_core_project`.
+    rest of the word is lifted by `_core_project`.  With `point`, the
+    caller keeps only the coinvariant of the result, and the result may be
+    that value on the zero weight (`apply_weights`).
     """
     if not Q:
         return {}
     core = tuple(word)
     while core and core[-1][0] == '+':
         core = core[:-1]
-    return _core_project(core, Q, rep)
+    return _core_project(core, Q, rep, point)
 
 
-def _core_project(word, Q, rep):
+def _core_project(word, Q, rep, point=False):
     if not word:
         return dict(Q)
     steps = [None] + [rep.image_atom(word, ('X', om)) for om in rep.omegas[1:]]
-    return apply_weights(rep, Q, steps, xp_one(rep.n), 1)
+    return apply_weights(rep, Q, steps, xp_one(rep.n), 1, point)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +553,7 @@ def _xp_add_shifted(acc, f, d, s):
             del acc[b]
 
 
-def apply_weights(rep, f, steps, g, s):
+def apply_weights(rep, f, steps, g, s, point=False):
     """The sum over b of f_b O_b g, for commuting operators O_b with
     O_{b+c} = O_b O_c, reached through dominant weights and reflections.
 
@@ -565,13 +573,23 @@ def apply_weights(rep, f, steps, g, s):
     reflection nearer the dominant chamber, and each b' - j alpha_i lies
     strictly inside the convex hull of b's Weyl orbit.
 
+    With `point`, the caller keeps only the coinvariant of the sum, where
+    T_i^s acts as t^{s/2} for i = 1..n (Cherednik, arXiv:1111.6195), so
+
+        {O_b g} = t^s {O_{b'} g} + (t^s - 1) sum_{0<j<k} {O_{b'-j alpha_i} g}.
+
+    Dominant weights are still built as XPolys, for the steps; every other
+    weight, and the result, is its value at the point on the zero weight.
+
     Each O_b g is memoized as a packed q, t monomial times an XPoly.  The
     weights whose f_b are equal (a symmetric f is constant on each Weyl
     orbit) have their O_b g summed, each shifted by its monomial, and then
     multiplied by f_b once.
     """
     half = _key(0, s * rep.half)          # t^{s/2}
-    memo = {wt.zero(rep.n): (0, g)}
+    zero = wt.zero(rep.n)
+    memo = {zero: (0, g)}
+    at_point = {}
 
     def value(b):
         hit = memo.get(b)
@@ -589,20 +607,36 @@ def apply_weights(rep, f, steps, g, s):
         k = -b[i - 1]
         alpha = rep.alphas[i]
         top = tuple(x + k * y for x, y in zip(b, alpha))
-        d, v = value(top)
+        d, v = get(top)
         d += half
-        v = rep.t_op(i, v, s)
+        if point:           # T_i^s is t^{s/2} at the point
+            d += half
+            v = xp_add_into({}, v)
+        else:
+            v = rep.t_op(i, v, s)
         # t^{s/2} s (t^{1/2} - t^{-1/2}) = t^s - 1
         for j in range(1, k):
-            dj, vj = value(tuple(x - j * y for x, y in zip(top, alpha)))
+            dj, vj = get(tuple(x - j * y for x, y in zip(top, alpha)))
             _xp_add_shifted(v, vj, dj - d + 2 * half, 1)
             _xp_add_shifted(v, vj, dj - d, -1)
         out = memo[b] = (d, v)
         return out
 
+    def point_value(b):
+        """O_b g at the point: a weight that is not dominant already is."""
+        if min(b) < 0:
+            return value(b)
+        hit = at_point.get(b)
+        if hit is None:
+            d, v = value(b)
+            c = rep.coinvariant(v)
+            hit = at_point[b] = (d, {zero: c} if c else {})
+        return hit
+
+    get = point_value if point else value
     groups = {}
     for b, c in f.items():
-        d, v = value(b)
+        d, v = get(b)
         key = tuple(sorted(c.items()))
         hit = groups.get(key)
         if hit is None:

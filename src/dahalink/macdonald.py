@@ -165,9 +165,11 @@ class Mac:
     def J_value(self, lam):
         """J_lambda at the coinvariant point (`Rep.coinvariant`), from E_b
         without symmetrizing.  The coinvariant of T_i f is t^{1/2} times
-        that of f, so the symmetrizer multiplies it by sum_w t^{l(w)}, the
-        Poincare polynomial of S_{n+1}: the value is E_b's numerator's
-        times h_lambda poincare(0) / (poincare(b) den)."""
+        that of f for i = 1..n (Cherednik, arXiv:1111.6195; the identity
+        `daha.apply_weights` reflects by at the point), so the symmetrizer
+        multiplies it by sum_w t^{l(w)}, the Poincare polynomial of
+        S_{n+1}: the value is E_b's numerator's times
+        h_lambda poincare(0) / (poincare(b) den)."""
         b = wt.to_weight(lam, self.n)
         num, den = self.E(b)
         up, down = self._ratio(

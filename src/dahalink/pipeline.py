@@ -85,14 +85,34 @@ def _all_colors(pair):
 
 
 def _apply_fY(rep, f, g, sign=1):
-    """f(Y^{-sign}) applied to g, a pre-polynomial.
+    """f(Y^{-sign}) applied to g, a pre-polynomial, at the coinvariant
+    point, as a lattice poly.
 
     g must be symmetric (T_i g = t^{1/2} g for i = 1..n): `apply_weights`
     reaches every Y_b with b not dominant by a reflection, which holds only
     on such g.  `Rep.y_op` is the route for any g."""
     if sign == 1:
         f = {wt.wt_neg(b): c for b, c in f.items()}
-    return apply_weights(rep, f, rep.y_steps, g, -1)
+    return rep.coinvariant(apply_weights(rep, f, rep.y_steps, g, -1,
+                                         point=True))
+
+
+def _root_value(rep, forest):
+    """The coinvariant of the pre-polynomial of a lone forest.
+
+    A root that is one tree with a vertex is projected at the coinvariant
+    point: its subtrees, the forest one level down, are built in full.  A
+    product of several root factors is built in full, since the coinvariant
+    is not multiplicative."""
+    first, *rest = forest.paths
+    if not first.labels or not all(p.share for p in rest):
+        return rep.coinvariant(pre_polynomial(forest, rep.n))
+    inner = ColoredForest(tuple(
+        Path(p.labels[1:], p.color, max(p.share - 1, 0))
+        for p in forest.paths))
+    Q = pre_polynomial(inner, rep.n)
+    word = word_of_rs(*first.labels[0])
+    return rep.coinvariant(gamma_hat_project(word, Q, rep, point=True))
 
 
 @lru_cache(maxsize=None)
@@ -111,16 +131,23 @@ def _div_j_eval(p, rank, lam):
 
 def jd_raw(pair, rank, norm="min"):
     """The coinvariant value divided by the normalization, as a poly of
-    `scalars`."""
+    `scalars`.
+
+    Only the coinvariant of the root is needed: a pair takes it from the
+    Y-pass, and a lone forest from its root projection where the root is
+    one tree (`_root_value`); both reach the weights that are not dominant
+    at the coinvariant point (`daha.apply_weights`)."""
     if pair.twist is not None:
         pair = lower_twist(pair)
     lam = norm_diagram(pair, norm)
     rep = get_rep(rank)
-    f = pre_polynomial(pair.first, rank)
-    if pair.second is not None:
+    if pair.second is None:
+        val = _root_value(rep, pair.first)
+    else:
+        f = pre_polynomial(pair.first, rank)
         g = pre_polynomial(pair.second, rank)
-        f = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
-    return rep.from_lattice(_div_j_eval(rep.coinvariant(f), rank, lam))
+        val = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
+    return rep.from_lattice(_div_j_eval(val, rank, lam))
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,6 @@ def pairing(b, c):
     return _ex(Fraction(dot * n1 - sv * su, n1))
 
 
-def norm2(b):
-    return pairing(b, b)
-
-
 def rho_eps(n):
     """rho in epsilon coordinates (up to the constant shift): (n, ..., 0)."""
     return tuple(range(n, -1, -1))

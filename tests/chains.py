@@ -9,6 +9,11 @@ from dahalink import weights as wt
 from dahalink.daha import lp_shift, xp_add_into, xp_one
 
 
+def xp_mono(b):
+    """X_b as a lattice XPoly."""
+    return {tuple(b): {0: 1}}
+
+
 def chain_apply_weights(rep, f, steps, g):
     """The sum over b of f_b O_b g, where steps[(r, s)] = (eq, atoms) gives
     O_{s omega_r} = q^{eq/L} atoms.  The atom part of O_b g is built one

@@ -17,8 +17,8 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 
 from dahalink import weights as wt
-from dahalink.daha import xp_mono
 from dahalink.scalars import FactoredBinomial, binomial_fb, _ex
+from chains import xp_mono
 from scal import Scal
 
 

@@ -10,10 +10,12 @@ from dahalink import weights as wt
 from dahalink.scalars import (InexactDivision, hat_normalize, poly_parse,
                               poly_text, pmono, padd_into)
 from dahalink.daha import (
-    get_rep, xp_one, xp_mono, xp_add_into, NotCoprime, OffLattice, T_LIMIT,
-    lp_divexact, word_matrix, word_of_rs, gamma_hat_project, _core_project,
+    get_rep, xp_one, xp_add_into, NotCoprime, OffLattice, T_LIMIT,
+    lp_divexact, lp_shift, word_matrix, word_of_rs, gamma_hat_project,
+    _core_project,
 )
 from dahalink.macdonald import get_mac
+from chains import xp_mono
 from factoring import scal_inv
 from scal import Scal
 import scal_xpoly as sx
@@ -324,6 +326,45 @@ def test_coinvariant_is_the_evaluation_at_minus_rho_k(n):
     for f in basket(n, 8):
         want = sx.xp_eval(to_scal(rep, f), minus_rho_k(n))
         assert scal_of(rep, rep.coinvariant(f)) == want
+
+
+@st.composite
+def lattice_xpolys(draw, n):
+    """Small random lattice XPolys of rank n, with coefficients drawn by
+    `lattice_polys`."""
+    rep = get_rep(n)
+    f = {}
+    for _ in range(draw(st.integers(1, 4))):
+        b = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        xp_add_into(f, {b: rep.to_lattice(draw(lattice_polys(n)))})
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_coinvariant_of_T_i_is_t_half_times_the_coinvariant(n, data):
+    """{T_i^{+-1} f} = t^{+-1/2} {f} for i = 1..n and any f: the identity
+    on which `apply_weights` reflects at the coinvariant point."""
+    rep = get_rep(n)
+    f = data.draw(lattice_xpolys(n))
+    val = rep.coinvariant(f)
+    for i in range(1, n + 1):
+        for sign in (1, -1):
+            assert (rep.coinvariant(rep.t_op(i, f, sign))
+                    == lp_shift(val, 0, sign * rep.half)), (i, sign)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coinvariant_of_T_0_is_not_t_half_times_the_coinvariant(n):
+    """The identity fails for T_0, so the walk never reflects through it:
+    on X_{omega_1} the q-power that T_0 brings stays at the point."""
+    rep = get_rep(n)
+    f = xp_mono(rep.omegas[1])
+    val = rep.coinvariant(f)
+    for sign in (1, -1):
+        assert (rep.coinvariant(rep.t_op(0, f, sign))
+                != lp_shift(val, 0, sign * rep.half)), sign
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Link forests: parsing, cab parameters, moves, positivity, a-degrees."""
 
 import math
-import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st

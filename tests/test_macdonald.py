@@ -96,7 +96,7 @@ def tau_minus_dot(mac, f, m=1):
     out = {}
     for b, c in expand_in_E(mac, f).items():
         b_plus, _ = wt.sort_perm_maximal(b)
-        eq = _ex(-m * wt.norm2(b_plus) * HALF)
+        eq = _ex(-m * weyl.norm2(b_plus) * HALF)
         et = _ex(-m * wt.pairing(b_plus, _rho_weight(mac.n)))
         xp_add_into(out, e_scal(mac, b), c.scale(1, (eq, et, 0)))
     return out

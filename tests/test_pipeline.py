@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from dahalink.links import (
-    Path, ColoredForest, LinkPair, parse_dsl, lower_twist, cab_params,
+    Path, ColoredForest, parse_dsl, lower_twist, cab_params,
     norm_diagram, deg_a_bound,
 )
 from dahalink.scalars import (
@@ -18,6 +18,7 @@ from dahalink.scalars import (
     pdivexact, psubstitute, hat_normalize,
 )
 import dahalink
+from dahalink import daha
 from dahalink import pipeline as pl
 from dahalink import weights as wt
 from dahalink.cli import main
@@ -26,6 +27,7 @@ from dahalink.daha import (
     lp_mul,
 )
 from dahalink.macdonald import Mac, NotMonic, get_mac
+import chains
 from degree import exact_deg_a
 from homfly import rosso_jones
 from norms import P_eval
@@ -128,15 +130,16 @@ def _jd_nested(pair, rank, norm="min"):
     else:
         g = pl.pre_polynomial(ColoredForest((Path((), (1,)),)), rank)
     g = gamma_hat_project(word_of_rs(beta, alpha), g, rep)
-    f = pl._apply_fY(rep, g, f, sign=-1)
-    val = pl._div_j_eval(rep.coinvariant(f), rank, norm_diagram(low, norm))
+    val = pl._div_j_eval(pl._apply_fY(rep, g, f, sign=-1), rank,
+                         norm_diagram(low, norm))
     return rep.from_lattice(val)
 
 
 def _apply_fY_per_monomial(rep, f, g, sign=1):
     """f(Y^{-sign}) applied to g, each monomial's Y_{-sign b} walked alone
-    along the fundamental Y-steps: the reference for `_apply_fY`, which
-    shares the steps between monomials."""
+    along the fundamental Y-steps: its coinvariant is the reference for
+    `_apply_fY`, which shares the steps between monomials and reflects at
+    the coinvariant point."""
     out = {}
     for b, c in f.items():
         v = g
@@ -160,8 +163,59 @@ def test_apply_fY_matches_the_per_monomial_route(dsl, ranks, sign):
         rep = get_rep(m)
         f = pl.pre_polynomial(pair.second, m)
         g = pl.pre_polynomial(pair.first, m)
-        assert (pl._apply_fY(rep, f, g, sign)
-                == _apply_fY_per_monomial(rep, f, g, sign)), m
+        want = _apply_fY_per_monomial(rep, f, g, sign)
+        assert pl._apply_fY(rep, f, g, sign) == rep.coinvariant(want), m
+
+
+def _jd_raw_full(pair, rank, norm="min"):
+    """`jd_raw` along the full route: the coinvariant of the whole
+    pre-polynomial, or of the chain's Y-pass for a pair."""
+    pair = lower_twist(pair)
+    rep = get_rep(rank)
+    f = pl.pre_polynomial(pair.first, rank)
+    if pair.second is not None:
+        g = pl.pre_polynomial(pair.second, rank)
+        f = chains.apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
+    val = pl._div_j_eval(rep.coinvariant(f), rank, norm_diagram(pair, norm))
+    return rep.from_lattice(val)
+
+
+# link: whether its root is reached at the coinvariant point.  A path
+# shares its longest common prefix with the one before unless ^k says
+# otherwise, so T22 and the Hopf triple have one root tree; with ^0 the
+# root trees multiply, and the coinvariant is not multiplicative.  [1,0]
+# projects by the empty word.
+POINT_ROUTE = {
+    **{dsl: True for dsl in (TREFOIL, T22, T42, NEG_HOPF, HOPF_TRIPLE,
+                             CABLE_32_11, THREE_CHAIN, T32_MERIDIAN,
+                             T32_MERIDIAN_V, TWIST_11, "{[5,2]->(2)}",
+                             "{[3,2]->(1,1)}")},
+    **{dsl: False for dsl in ("{[1,1]->(1) | ^0 [1,1]->(1)}",
+                              "{[3,2]->(1) | ^0 [2,1]->(1)}",
+                              "{[1,0]->(1,1)}")},
+}
+
+
+@pytest.mark.parametrize("dsl", sorted(POINT_ROUTE))
+def test_jd_raw_is_the_coinvariant_of_the_full_route(dsl, monkeypatch):
+    """At every rank of the window, the value reached at the coinvariant
+    point is the coinvariant of the whole root; the root takes the point
+    route by its structure alone."""
+    pair = parse_dsl(dsl)
+    s = sup(dsl)
+    at_point = []
+    full = daha.apply_weights
+
+    def spy(rep, f, steps, g, sign, point=False):
+        at_point.append(point)
+        return full(rep, f, steps, g, sign, point)
+
+    monkeypatch.setattr(daha, "apply_weights", spy)
+    monkeypatch.setattr(pl, "apply_weights", spy)
+    for m in s.ranks + (s.verified_rank,):
+        at_point.clear()
+        assert pl.jd_raw(pair, m) == _jd_raw_full(pair, m), m
+        assert any(at_point) == POINT_ROUTE[dsl], m
 
 
 def test_twist_nested_route_agrees():
@@ -576,14 +630,15 @@ def test_no_zero_difference_exhausts_the_shifts(monkeypatch):
 
 # sha256(poly_text(poly) + repr(shift))[:12] and the window of deeper
 # links, recorded with the fundamental-step chain of `tests/chains.py` in
-# place of the reflections; the last two are marked slow (5-10 s each)
+# place of the reflections, and (2,2) with the reflections building every
+# weight's XPoly; the (2,2)-colored trefoil is marked slow (3-5 s)
 DEEP_GOLDEN = [
     ("{[3,2],[2,1]->(1)}", (1, 2, 3, 4), "d3bb34b62e21"),
     ("{[7,4]->(1)}", (1, 2, 3, 4), "7f2f5f55292c"),
     ("{[5,2]->(2)}", (1, 2, 3), "49e8457269ec"),
-    pytest.param("{[3,2]->(2,1)}", (2, 3, 4, 5), "b00ef3482fd9",
-                 marks=pytest.mark.slow),
-    pytest.param("{[3,2]->(3)}", (1, 2, 3, 4), "dbc735c67d08",
+    ("{[3,2]->(2,1)}", (2, 3, 4, 5), "b00ef3482fd9"),
+    ("{[3,2]->(3)}", (1, 2, 3, 4), "dbc735c67d08"),
+    pytest.param("{[3,2]->(2,2)}", (2, 3, 4, 5, 6), "5bea81b2cc24",
                  marks=pytest.mark.slow),
 ]
 

@@ -15,12 +15,13 @@ import pytest
 from dahalink import pipeline as pl
 from dahalink.daha import (
     get_rep, word_of_rs, _core_project, apply_weights, gamma_hat_project,
-    xp_add_into, xp_mono, xp_mul, xp_one,
+    xp_add_into, xp_mul, xp_one,
 )
 from dahalink.macdonald import get_mac
 from dahalink.scalars import pmono
 
 import chains
+from chains import xp_mono
 
 
 WORDS = {rs: word_of_rs(*rs)
@@ -99,10 +100,16 @@ def _fY_cases(n):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_apply_fY_matches_the_chain(n, sign):
+    """The Y-pass at the coinvariant point against the chain's coinvariant,
+    and the same reflections building the whole XPoly against the chain's
+    XPoly."""
     rep = get_rep(n)
     for k, (f, g) in enumerate(_fY_cases(n)):
-        assert (pl._apply_fY(rep, f, g, sign)
-                == chains.apply_fY(rep, f, g, sign)), k
+        want = chains.apply_fY(rep, f, g, sign)
+        assert pl._apply_fY(rep, f, g, sign) == rep.coinvariant(want), k
+        if sign == 1:
+            f = {tuple(-x for x in b): c for b, c in f.items()}
+        assert apply_weights(rep, f, rep.y_steps, g, -1) == want, k
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dahalink import weights as wt
-from dahalink.scalars import FactoredBinomial, poly_parse, pmul
+from dahalink.scalars import poly_parse
 from dahalink.weights import (
     RankMismatch, RankTooSmall,
-    to_eps, from_eps, fundamental, zero, wt_add, wt_neg, theta, alpha,
-    pairing, norm2, rho_eps, perm_inv, reduced_word, u_perm,
-    sort_perm_maximal, EvalPoint, sharp_point,
+    to_eps, from_eps, fundamental, wt_add, wt_neg, theta, alpha,
+    pairing, reduced_word, u_perm, sort_perm_maximal, sharp_point,
     to_weight, transpose, diagram_union, arm_leg, h_lambda, pi_dagger,
 )
 from scal_xpoly import minus_rho_k
 from weyl import (dominant, perm_id, perm_mul, perm_len, perm_act,
-                  longest_element, to_diagram, lambda_plus_set, tilde_N)
+                  longest_element, to_diagram, lambda_plus_set, tilde_N,
+                  norm2)
 
 
 small_weights = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 2)

@@ -10,12 +10,16 @@ integrality formulas, against the independent helpers here.
 from collections import Counter
 
 from dahalink.scalars import FactoredBinomial, binomial_fb
-from dahalink.weights import (to_eps, from_eps, perm_inv, perm_act_eps,
-                              sharp_point)
+from dahalink.weights import (to_eps, from_eps, pairing, perm_inv,
+                              perm_act_eps, sharp_point)
 
 
 def dominant(b):
     return all(x >= 0 for x in b)
+
+
+def norm2(b):
+    return pairing(b, b)
 
 
 # ---------------------------------------------------------------------------
