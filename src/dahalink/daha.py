@@ -8,9 +8,12 @@ q/t shift is then one int add and key order is lex order on (iq, it).
 Every exponent the operators below produce lies on that lattice (the
 pairing of two weights has denominator n+1, and T_i brings t^{+-1/2}), and
 no coefficient has a denominator, so the operators never meet a Fraction.
-The key layout is private to this module: `Rep.to_lattice` and
-`Rep.from_lattice` are the seams to the rational-key polys of `scalars`;
-off-lattice input, or a t-exponent beyond T_LIMIT lattice units, raises
+The key layout is private to this module, and four seams cross it to
+the rational-key polys of `scalars`: `Rep.to_lattice` takes a poly in,
+`Rep.expand` a FactoredBinomial (its atoms expanded once per rank),
+`Rep.from_lattice` gives a poly back, and `Rep.normalized` gives a rank
+value back already hat-normalized, the shift read off the packed keys.
+Off-lattice input, or a t-exponent beyond T_LIMIT lattice units, raises
 OffLattice.  Every division is one `lp_divexact` by a lattice poly:
 Macdonald's J divides its symmetrized numerator by its factored divisor,
 expanded once, and a coinvariant value is divided by J at the coinvariant
@@ -56,8 +59,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 
-from .scalars import InexactDivision, _ex, atom_expand_cached
+from .scalars import (InexactDivision, ZeroPolynomial, _ex,
+                      atom_expand_cached)
 from . import weights as wt
 
 
@@ -138,8 +143,11 @@ def lp_divexact(num, den):
     min_v(num) - min_v(den) <= e_v <= max_v(num) - max_v(den), v = q, t, so
     the first quotient key outside it, or a coefficient that does not
     divide, proves the division inexact and raises InexactDivision; the
-    message says which of the two it was, and prints the box.
+    message says which of the two it was, and prints the box.  An empty
+    divisor raises ZeroDivisionError, as in `scalars.pdivexact`.
     """
+    if not den:
+        raise ZeroDivisionError("division by the zero lattice poly")
     if not num:
         return {}
     nq0, nq1, nt0, nt1 = _box(num)
@@ -218,15 +226,13 @@ class Rep:
             tuple(2 * (self.n1 * min(k, j) - k * j) for j in range(1, n + 1))
             for k in range(1, n + 1)]
         self._rho_row = tuple(map(sum, zip(*self._gram[1:])))
-        # pi_r permutes keys through the Weyl part u_r of omega_r
-        self._uinv = [None] + [wt.perm_inv(wt.u_perm(self.n1, r))
-                               for r in range(1, n + 1)]
         self._uword = [None] + [wt.reduced_word(wt.u_perm(self.n1, r))
                                 for r in range(1, n + 1)]
         # L (w_r, w_r)/2 = r (n+1-r): the q-power of the tau-images
         self._c = [None] + [r * (self.n1 - r) for r in range(1, n + 1)]
         self._img_memo = {}
         self._atoms = {}
+        self._t_steps = [{} for _ in range(self.n1)]
         # the fundamental steps Y_{omega_r} for `apply_weights`
         self.y_steps = [None] + [(0, self.y_atoms(r))
                                  for r in range(1, self.n1)]
@@ -253,6 +259,21 @@ class Rep:
             hit = self._atoms[a] = self.to_lattice(atom_expand_cached(a))
         return hit
 
+    def expand(self, fb):
+        """A FactoredBinomial of `scalars` as a lattice poly: its unit and
+        monomial times its atoms (`atom`), each expanded once per rank.
+        It equals `to_lattice(fb.expand())`; a unit with a denominator or a
+        monomial off the lattice raises OffLattice."""
+        c = fb.coeff
+        if c.denominator != 1:
+            raise OffLattice(f"the unit {c} of {fb} is not an integer")
+        if not c:
+            return {}
+        p = self.to_lattice({fb.key: c.numerator})
+        for a in fb.atoms:
+            p = lp_mul(p, self.atom(a))
+        return p
+
     def from_lattice(self, p):
         """A lattice poly as a poly of `scalars`."""
         L = self.L
@@ -261,6 +282,28 @@ class Rep:
             iq, it = _unkey(k)
             out[(_ex(Fraction(iq, L)), _ex(Fraction(it, L)), 0)] = c
         return out
+
+    def normalized(self, p):
+        """`scalars.hat_normalize(from_lattice(p))`, taken in lattice
+        units: the least exponents and the lead's sign are read off the
+        packed keys, and each exponent is divided by L once.  Poly and
+        shift have the same values and types: an exponent is an int where
+        it is integral and a Fraction where it is not."""
+        if not p:
+            raise ZeroPolynomial
+        L = self.L
+
+        def ex(i):
+            e, r = divmod(i, L)
+            return Fraction(i, L) if r else e
+
+        terms = [(*_unkey(k), c) for k, c in p.items()]
+        iq0 = min(t[0] for t in terms)
+        it0, _, lead = min((it, iq, c) for iq, it, c in terms)
+        sign = 1 if lead > 0 else -1
+        out = {(ex(iq - iq0), ex(it - it0), 0): sign * c
+               for iq, it, c in terms}
+        return out, (sign, ex(iq0), ex(it0))
 
     # -- generator actions -----------------------------------------------
 
@@ -281,8 +324,7 @@ class Rep:
         t^{+-1/2}; in lattice units q^cq is a shift by cq L and t^{1/2} one
         by n + 1.
         """
-        w, cq = (self.alphas[i], 0) if i else (self.mtheta, self.L)
-        h = self.half
+        steps = self._t_steps[i]
         out = {}
         for b, c in f.items():
             e = -b[i - 1] if i else sum(b)
@@ -291,8 +333,8 @@ class Rep:
             else:
                 js, s = range(e, 0 if sign == 1 else 1), -1
             for j in js:
-                k = tuple(x + j * y for x, y in zip(b, w)) if j else b
-                up, dn = _key(j * cq, h), _key(j * cq, -h)
+                jw, up, dn = steps.get(j) or self._t_step(i, j)
+                k = tuple(map(add, b, jw)) if j else b
                 acc = out.get(k)
                 if acc is None:
                     acc = out[k] = {key + up: s * v for key, v in c.items()}
@@ -300,8 +342,8 @@ class Rep:
                     _add_into(acc, c, up, s)
                 if not _add_into(acc, c, dn, -s):
                     del out[k]
-            k = tuple(x + e * y for x, y in zip(b, w)) if e else b
-            d = _key(e * cq, h)
+            ew, d, _ = steps.get(e) or self._t_step(i, e)
+            k = tuple(map(add, b, ew)) if e else b
             acc = out.get(k)
             if acc is None:
                 out[k] = {key + d: v for key, v in c.items()}
@@ -309,16 +351,29 @@ class Rep:
                 del out[k]
         return out
 
+    def _t_step(self, i, j):
+        """The multiple j w of T_i's root and the shifts q^{j cq} t^{+-1/2}
+        (`t_op`), built once per rank."""
+        w, cq = (self.alphas[i], 0) if i else (self.mtheta, self.L)
+        hit = self._t_steps[i][j] = (tuple(j * y for y in w),
+                                     _key(j * cq, self.half),
+                                     _key(j * cq, -self.half))
+        return hit
+
     def pi_op(self, r, f, sign=1):
+        """pi_r^sign on an XPoly.  pi_r X_b = q^{(w_{n+1-r}, b)} X_{u_r b}
+        pi_r, and u_r rotates b's epsilon coordinates r places to the
+        right, so it rotates their cyclic differences
+        (b_1, ..., b_n, -sum b) too: u_r b is that tuple rotated, less its
+        last entry."""
         if sign == -1:
             r = self.n1 - r    # pi_r^{-1} = pi_{n+1-r}
-        uinv = self._uinv[r]
-        row = self._gram[self.n1 - r]
+        k = self.n1 - r
+        row = self._gram[k]
         out = {}
         for b, c in f.items():
-            e = sum(x * y for x, y in zip(row, b))
-            b2 = wt.from_eps(wt.perm_act_eps(uinv, wt.to_eps(b)))
-            out[b2] = lp_shift(c, e)
+            ext = b + (-sum(b),)
+            out[ext[k:] + ext[:k - 1]] = lp_shift(c, sum(map(mul, row, b)))
         return out
 
     def xmul(self, b, f):
@@ -368,7 +423,7 @@ class Rep:
         row = self._rho_row
         out = {}
         for b, c in f.items():
-            lp_add_into(out, c, 0, -sum(x * y for x, y in zip(row, b)))
+            lp_add_into(out, c, 0, -sum(map(mul, row, b)))
         return out
 
     # -- tau-letter images -----------------------------------------------

@@ -23,10 +23,11 @@ J_lambda = h_lambda P_lambda comes from Hecke-symmetrizing E (the
 symmetrizer factors through parabolic coset sums, so |W| never appears).
 E and J are lattice XPolys, the form the operators of `daha` act on.  J
 multiplies the symmetrized numerator of E by one lattice poly and divides
-it exactly by another, the two sides of one factored ratio.  Its value at
-the coinvariant point, the pipeline's normalization, needs no
-symmetrizing (`J_value`): the symmetrizer acts on the coinvariant as a
-scalar.
+it exactly by another, the two sides of one factored ratio, at dominant
+weights only: J is W-symmetric, so each orbit shares its dominant
+weight's quotient.  Its value at the coinvariant point, the pipeline's
+normalization, needs no symmetrizing (`J_value`): the symmetrizer acts on
+the coinvariant as a scalar.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ from .daha import (get_rep, xp_one, xp_add_into, lp_shift, lp_add_into,
 
 class NotMonic(Exception):
     pass
+
+
+class NotSymmetric(Exception):
+    """A symmetrized numerator whose coefficient at a weight is not the one
+    at that weight's dominant representative."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +149,14 @@ class Mac:
         (`weights.poincare`).  So J is the symmetrized numerator of E_b
         times h_lambda / (poincare(b) den), a ratio whose shared atoms are
         cancelled before both sides are expanded.  The numerator at X_b is
-        checked against poincare(b) den; J is integral, so a coefficient
-        the divisor does not divide raises InexactDivision.
+        checked against poincare(b) den.
+
+        J is W-symmetric, so the divide runs at dominant weights only: J is
+        integral, and a coefficient there that the divisor does not divide
+        raises InexactDivision.  Every other weight is filled from its
+        orbit's dominant weight, sharing that quotient's dict, once its
+        numerator is checked to equal the dominant one's (NotSymmetric
+        otherwise).  The dicts are never mutated: J is cached and shared.
         """
         lam = tuple(lam)
         hit = self._J.get(lam)
@@ -154,12 +166,22 @@ class Mac:
             lat = self.symmetrize(num)
             stab = wt.poincare(b)
             lead = stab.mul(den)
-            if lat.get(b) != self.rep.to_lattice(lead.expand()):
+            if lat.get(b) != self.rep.expand(lead):
                 raise NotMonic(f"symmetrize(E_{b}) at X_{b} is not the "
                                f"stabilizer's {stab}")
             up, down = self._ratio(wt.h_lambda(lam), lead)
-            hit = self._J[lam] = {c: lp_divexact(lp_mul(v, up), down)
-                                  for c, v in lat.items()}
+            quo = {}
+            hit = {}
+            for c, v in lat.items():
+                d = wt.sort_perm_maximal(c)[0]
+                if lat.get(d) != v:
+                    raise NotSymmetric(f"symmetrize(E_{b}) at X_{c} is not "
+                                       f"its value at X_{d}")
+                q = quo.get(d)
+                if q is None:
+                    q = quo[d] = lp_divexact(lp_mul(v, up), down)
+                hit[c] = q
+            self._J[lam] = hit
         return hit
 
     def J_value(self, lam):
@@ -180,7 +202,7 @@ class Mac:
     def _ratio(self, up, down):
         """The FactoredBinomials up / down with their shared atoms
         cancelled, each expanded to a lattice poly."""
-        return (self.rep.to_lattice(f.expand()) for f in up.cancel(down))
+        return map(self.rep.expand, up.cancel(down))
 
 
 @lru_cache(maxsize=None)

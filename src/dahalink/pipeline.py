@@ -129,9 +129,9 @@ def _div_j_eval(p, rank, lam):
     return lp_divexact(p, _j_eval(rank, lam)) if lam else p
 
 
-def jd_raw(pair, rank, norm="min"):
-    """The coinvariant value divided by the normalization, as a poly of
-    `scalars`.
+def _rank_value(pair, rank, norm):
+    """The coinvariant value divided by the normalization, as a lattice
+    poly.
 
     Only the coinvariant of the root is needed: a pair takes it from the
     Y-pass, and a lone forest from its root projection where the root is
@@ -147,7 +147,12 @@ def jd_raw(pair, rank, norm="min"):
         f = pre_polynomial(pair.first, rank)
         g = pre_polynomial(pair.second, rank)
         val = _apply_fY(rep, g, f, sign=-1 if pair.vee else 1)
-    return rep.from_lattice(_div_j_eval(val, rank, lam))
+    return _div_j_eval(val, rank, lam)
+
+
+def jd_raw(pair, rank, norm="min"):
+    """The rank value before hat-normalization, as a poly of `scalars`."""
+    return get_rep(rank).from_lattice(_rank_value(pair, rank, norm))
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,10 @@ class RankInvariant:
 
 
 def jd(pair, rank, norm="min"):
-    poly, shift = hat_normalize(jd_raw(pair, rank, norm))
+    """The hat-normalized rank value, normalized in lattice units
+    (`daha.Rep.normalized`): the same poly and shift as
+    `hat_normalize(jd_raw(pair, rank, norm))`."""
+    poly, shift = get_rep(rank).normalized(_rank_value(pair, rank, norm))
     return RankInvariant(rank, poly, shift, norm)
 
 

@@ -4,12 +4,15 @@ Three layers:
 
   * plain sparse Laurent "polys": dict mapping (e_q, e_t, e_a) -> Fraction|int,
     exponents integers or Fractions.  The rank-n operators of `daha`,
-    Macdonald's E and J and the normalization divide of a rank value do not
-    use them: they act on lattice polys with integer exponents in the unit
-    1/(2(n+1)).  Fraction exponents arise only in the monomials of the
-    factored divisors where they enter or leave lattice form (E's
-    denominator, J's divisor), and in the normalized rank value, which
-    leaves lattice form once, just before `hat_normalize`;
+    Macdonald's E and J, and the normalization divide and hat-normalization
+    of a rank value do not use them: they act on lattice polys with integer
+    exponents in the unit 1/(2(n+1)) and int coefficients.  Fractions
+    arise only where a value leaves lattice form: an exponent of a rank
+    value that is not an integer (`daha.Rep.normalized`), the unit of a
+    FactoredBinomial and the monomial of E's denominator.  Past the ranks,
+    a coefficient is a Fraction only where an exact division leaves one
+    (`pdivexact` keeps int quotients ints, and `psubstitute` flips signs
+    for a -1 image);
   * FactoredBinomial: a unit times a monomial times atoms, kept factored.
     It is the only divisor type: every divisor is built factored where it
     arises, so no polynomial is ever expanded and then factored again;
@@ -161,7 +164,9 @@ def pdivexact(num, den):
               lead[2] - dlead[2])
         if not all(lo[v] <= qk[v] <= hi[v] for v in range(3)):
             raise InexactDivision(f"quotient key {qk} outside its degree box")
-        qc = _co(Fraction(rem[lead], dc))
+        qc, r = divmod(rem[lead], dc)
+        if r:
+            qc = _co(Fraction(rem[lead], dc))
         quo[qk] = qc
         for k, c in den.items():
             kk = key_mul(qk, k)
@@ -196,7 +201,11 @@ def psubstitute(p, q=None, t=None, a=None):
             if sc != 1:
                 if e != int(e):
                     raise FractionalResidue("sign raised to fractional power")
-                coeff = coeff * Fraction(sc) ** int(e)
+                if sc == -1:
+                    if int(e) & 1:
+                        coeff = -coeff
+                else:
+                    coeff = coeff * Fraction(sc) ** int(e)
             for v in range(3):
                 parts[v] += image[v] * e
         if coeff == 0:

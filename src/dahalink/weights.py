@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .scalars import _ex, FactoredBinomial, binomial_fb, a_atom
 
@@ -52,7 +53,7 @@ def zero(n):
 
 
 def wt_add(b, c):
-    return tuple(x + y for x, y in zip(b, c))
+    return tuple(map(add, b, c))
 
 
 def wt_neg(b):
@@ -91,12 +92,6 @@ def rho_eps(n):
 
 # ---------------------------------------------------------------------------
 # permutations
-
-def perm_inv(w):
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x] = i
-    return tuple(out)
 
 def perm_act_eps(w, v):
     out = [0] * len(v)
@@ -199,6 +194,7 @@ def arm_leg(lam):
             yield row - c - 1, lt[c] - r - 1
 
 
+@lru_cache(maxsize=None)
 def poincare(b):
     """Poincare polynomial sum t^{l(w)} of the stabilizer of b in S_{n+1},
     factored: the product of [m]_t! over the multiplicities m of b's
@@ -210,6 +206,7 @@ def poincare(b):
     return out
 
 
+@lru_cache(maxsize=None)
 def h_lambda(lam):
     """prod over boxes (1 - q^arm t^{leg+1}) as a FactoredBinomial."""
     out = FactoredBinomial.one()

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dahalink import weights as wt
-from dahalink.scalars import (InexactDivision, hat_normalize, poly_parse,
-                              poly_text, pmono, padd_into)
+from dahalink.scalars import (FactoredBinomial, InexactDivision,
+                              ZeroPolynomial, hat_normalize, poly_parse,
+                              poly_text, pmono, padd_into, pdivexact)
 from dahalink.daha import (
     get_rep, xp_one, xp_add_into, NotCoprime, OffLattice, T_LIMIT,
     lp_divexact, lp_shift, word_matrix, word_of_rs, gamma_hat_project,
@@ -16,6 +17,7 @@ from dahalink.daha import (
 )
 from dahalink.macdonald import get_mac
 from chains import xp_mono
+from weyl import diagrams
 from factoring import scal_inv
 from scal import Scal
 import scal_xpoly as sx
@@ -173,6 +175,89 @@ def test_lp_divexact_stops_on_its_degree_box():
              r"t\^\(0/L\)$")):
         with pytest.raises(InexactDivision, match=match):
             lp_divexact(lat(num), lat(den))
+
+
+@pytest.mark.parametrize("divide,num", [
+    (lp_divexact, {0: 1}), (lp_divexact, {}),
+    (pdivexact, {(0, 0, 0): 1}), (pdivexact, {}),
+], ids=["lattice", "lattice-empty", "scalars", "scalars-empty"])
+def test_divexact_by_the_zero_poly_raises(divide, num):
+    with pytest.raises(ZeroDivisionError):
+        divide(num, {})
+
+
+def _orbit(lam, n):
+    """The weights of lam's Weyl orbit at rank n."""
+    v = tuple(lam) + (0,) * (n + 1 - len(lam))
+    return sorted({wt.from_eps(u) for u in itertools.permutations(v)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expand_is_the_lattice_form_of_the_expanded_binomial(n):
+    """Rep.expand(fb) equals to_lattice(fb.expand()) on every divisor the
+    pipeline expands: the Poincare products, h_lambda and the E
+    denominators of colors of at most 4 boxes."""
+    rep, mac = get_rep(n), get_mac(n)
+    fbs = [wt.poincare(wt.zero(n))]
+    for lam in diagrams(4):
+        if len(lam) > n:
+            continue
+        fbs.append(wt.h_lambda(lam))
+        for b in _orbit(lam, n):
+            fbs += [wt.poincare(b), mac.E(b)[1]]
+    for fb in fbs:
+        assert rep.expand(fb) == rep.to_lattice(fb.expand()), fb
+
+
+@pytest.mark.parametrize("fb", [
+    FactoredBinomial(Fraction(1, 2), (0, 0, 0), (('c', 1, 0, 1),)),
+    FactoredBinomial(1, (Fraction(1, 3), 0, 0), (('c', 1, 0, 1),)),
+], ids=["unit", "monomial"])
+def test_expand_refuses_what_the_lattice_cannot_hold(fb):
+    """A unit with a denominator, or a monomial off the rank-1 lattice
+    (unit 1/4), raises OffLattice on both routes."""
+    rep = get_rep(1)
+    with pytest.raises(OffLattice):
+        rep.expand(fb)
+    with pytest.raises(OffLattice):
+        rep.to_lattice(fb.expand())
+
+
+def _assert_normalized_is_hat_normalize(rep, lat):
+    """Rep.normalized(lat) equals hat_normalize(from_lattice(lat)), the
+    types of every exponent included."""
+    poly, shift = rep.normalized(lat)
+    want, want_shift = hat_normalize(rep.from_lattice(lat))
+    assert poly == want and poly_text(poly) == poly_text(want)
+    assert sorted(map(repr, poly)) == sorted(map(repr, want))
+    assert list(map(repr, shift)) == list(map(repr, want_shift))
+
+
+@pytest.mark.parametrize("n,text", [
+    # a negative lead, the least t-exponent's, where the least q-exponent's
+    # coefficient is positive
+    (1, "2*q^(-1/4)*t - q^(1/2)*t^(3/4)"),
+    (2, "q^(-5/6)*t^(1/3) - 3*t^(7/2)"),        # no multiple of L at all
+    (3, "-2*q^(-2)*t^(-3) + q^(9/8)*t^(5/8)"),  # an integral shift
+], ids=["negative-lead", "off-multiples", "integral-shift"])
+def test_normalized_is_hat_normalize_of_the_scalars_poly(n, text):
+    rep = get_rep(n)
+    _assert_normalized_is_hat_normalize(rep, rep.to_lattice(poly_parse(text)))
+    with pytest.raises(ZeroPolynomial):
+        rep.normalized({})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normalized_is_hat_normalize_on_lattice_polys(n, data):
+    rep = get_rep(n)
+    lat = rep.to_lattice(data.draw(lattice_polys(n, max_terms=5)))
+    if lat:
+        _assert_normalized_is_hat_normalize(rep, lat)
+    else:
+        with pytest.raises(ZeroPolynomial):
+            rep.normalized(lat)
 
 
 @st.composite

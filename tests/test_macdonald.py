@@ -14,7 +14,7 @@ from dahalink.scalars import (FactoredBinomial, InexactDivision, pmul,
                               poly_parse, binomial_fb, _ex)
 from dahalink import daha
 from dahalink.daha import get_rep, word_of_rs, gamma_hat_project
-from dahalink.macdonald import Mac, get_mac, NotMonic
+from dahalink.macdonald import Mac, get_mac, NotMonic, NotSymmetric
 from e_solve import (span_weights, span_solve, solved, eigen_exp,
                      NonTerminating)
 from factoring import factored, scal_inv
@@ -320,6 +320,28 @@ def test_P_raises_when_the_lead_is_not_the_poincare_product(monkeypatch):
     monkeypatch.setattr(wt, "poincare", lambda b: FactoredBinomial.one())
     with pytest.raises(NotMonic):
         p_scal(Mac(2), (1,))
+
+
+@pytest.mark.parametrize("n,lam", [(2, (1,)), (3, (2, 1))])
+def test_J_refuses_a_numerator_that_is_not_symmetric(n, lam, monkeypatch):
+    """J divides at dominant weights only and fills each orbit from them;
+    a symmetrized numerator that differs at one weight that is not
+    dominant raises NotSymmetric, naming that weight."""
+    m = Mac(n)
+    symmetrize = m.symmetrize
+    planted = []
+
+    def broken(f):
+        out = symmetrize(f)
+        c = [b for b in out if min(b) < 0][-1]
+        out[c] = daha.lp_shift(out[c], 1)
+        planted.append(c)
+        return out
+
+    monkeypatch.setattr(m, "symmetrize", broken)
+    with pytest.raises(NotSymmetric) as err:
+        m.J(lam)
+    assert f"at X_{planted[0]} is not" in str(err.value)
 
 
 def test_poincare_of_zero_is_the_full_group():

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from math import comb, gcd
 import os
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dahalink.links import (
     Path, ColoredForest, parse_dsl, lower_twist, cab_params,
@@ -27,6 +29,7 @@ from dahalink.daha import (
     lp_mul,
 )
 from dahalink.macdonald import Mac, NotMonic, get_mac
+from catalan import rational_catalan
 import chains
 from degree import exact_deg_a
 from homfly import rosso_jones
@@ -405,6 +408,29 @@ def test_homfly_matches_rosso_jones(m, n):
     assert hat_normalize(got)[0] == want
 
 
+@st.composite
+def coprime_torus(draw):
+    """Coprime (m, n), m > n: n <= 3 and m <= 9, or n = 4 and m <= 7."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, 7 if n == 4 else 9)
+             .filter(lambda m: gcd(m, n) == 1))
+    return m, n
+
+
+@settings(max_examples=10, deadline=None)
+@given(coprime_torus())
+def test_a0_part_is_the_rational_catalan_number(mn):
+    """The a^0 part of T(m, n) against area and dinv of rational Dyck
+    paths, a reference that does not use DAHA."""
+    m, n = mn
+    cat = rational_catalan(m, n)
+    assert sum(cat.values()) == comb(m + n, n) // (m + n)
+    s = sup("{[%d,%d]->(1)}" % (m, n))
+    a0 = {k: c for k, c in s.poly.items() if k[2] == 0}
+    want = hat_normalize(psubstitute(cat, q=(1, -1, 0, 0)))[0]
+    assert hat_normalize(a0)[0] == want
+
+
 def test_khovanov_variant_a():
     assert pl.spec_khovanov(sup(T22), 1, "A") == poly_parse(
         "1 + q^2 + q^4*t^2 + q^6*t^2")
@@ -487,6 +513,19 @@ def test_J_seam_refuses_what_the_lattice_cannot_hold(lead, error,
     monkeypatch.setattr(get_mac(1), "_J", {})
     with pytest.raises(error):
         pl.pre_polynomial(ColoredForest((Path((), (1,)),)), 1)
+
+
+@pytest.mark.parametrize("dsl", [
+    "{[3,2]->(1,1)}", "{[1,0]->(2)} ; vee {[1,0]->(1,1)}"])
+def test_a_colored_run_leaves_the_cached_J_unchanged(dsl):
+    """J fills each Weyl orbit with its dominant weight's dict, so a caller
+    that changed one coefficient would change a whole orbit: after a run,
+    every J it used still equals a J built afresh."""
+    link = parse_dsl(dsl)
+    s = pl.superpolynomial(link)
+    for m in s.ranks + (s.verified_rank,):
+        for lam in {p.color for f in link.forests() for p in f.paths}:
+            assert get_mac(m)._J[lam] == Mac(m).J(lam), (m, lam)
 
 
 def test_normalization_divide_plants():

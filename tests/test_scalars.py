@@ -73,6 +73,17 @@ def test_divexact_fails_on_remainder():
             pdivexact(num, den)
 
 
+def test_divexact_keeps_int_quotients_ints():
+    """An int coefficient that divides gives an int, and one that does not
+    gives the exact Fraction."""
+    quo = pdivexact(P("2 - 2*q^2*t"), P("2 + 2*q*t^(1/2)"))
+    assert quo == P("1 - q*t^(1/2)")
+    assert all(type(c) is int for c in quo.values())
+    quo = pdivexact(P("1 + 3*q"), P("2"))
+    assert quo == {(0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(3, 2)}
+    assert all(type(c) is Fraction for c in quo.values())
+
+
 def test_pdivides_none():
     assert pdivides(P("1 + q"), P("1 + t")) is None
 
@@ -320,6 +331,21 @@ def test_substitute_trefoil_homfly_style():
 def test_substitute_identity():
     p = P("2 - q*t^2 + a*q^-1")
     assert psubstitute(p) == p
+
+
+def test_substitute_minus_one_image_signs_by_parity():
+    """A -1 image gives (-1)^e for odd and even e alike, as the power of
+    Fraction(-1) does, and ints stay ints; a fractional e still raises."""
+    p = P("2 + q - 3*q^2 + a^2*q^-3 - q^-4*t + q^(3)*t^(1/2)")
+    for image in ((-1, 1, 0, 0), (-1, 0, 1, 1)):
+        got = psubstitute(p, q=image)
+        want = psubstitute(p, q=(1,) + image[1:])
+        want = {k: c * Fraction(-1) ** e
+                for (e, _, _), (k, c) in zip(p, want.items())}
+        assert got == want
+        assert all(type(c) is int for c in got.values())
+    with pytest.raises(FractionalResidue):
+        psubstitute(pmono(Fraction(1, 2)), q=(-1, 1, 0, 0))
 
 
 def test_substitute_fractional_residue():

@@ -2,16 +2,15 @@
 closed evaluation products of E_b.
 
 The package needs only the permutations that sort a weight or build the
-u_r words (`weights.sort_perm_maximal`, `perm_inv`, `u_perm`,
-`reduced_word`).  Tests check those, and the closed E_b(q^{-rho_k}) and
+u_r words (`weights.sort_perm_maximal`, `u_perm`, `reduced_word`).  Tests check those, and the closed E_b(q^{-rho_k}) and
 integrality formulas, against the independent helpers here.
 """
 
 from collections import Counter
 
 from dahalink.scalars import FactoredBinomial, binomial_fb
-from dahalink.weights import (to_eps, from_eps, pairing, perm_inv,
-                              perm_act_eps, sharp_point)
+from dahalink.weights import (to_eps, from_eps, pairing, perm_act_eps,
+                              sharp_point)
 
 
 def dominant(b):
@@ -24,6 +23,13 @@ def norm2(b):
 
 # ---------------------------------------------------------------------------
 # permutations
+
+def perm_inv(w):
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        out[x] = i
+    return tuple(out)
+
 
 def perm_id(n1):
     return tuple(range(n1))
