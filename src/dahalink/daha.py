@@ -21,7 +21,7 @@ point.
 
 Operators act through Atom sequences:
 
-    ('T', i, s)   T_i^s, 0 <= i <= n, s = +-1
+    ('T', i, s)   T_i^s, 1 <= i <= n, s = +-1
     ('P', r, s)   pi_r^s, 1 <= r <= n
     ('X', b)      multiplication by X_b
 
@@ -29,13 +29,14 @@ The image of an atom under a tau-word is one q-power times one atom word,
 a pair (eq, atoms) standing for q^{eq/L} atoms; the leftmost atom is
 applied last.  The images are composed from the generator images
 
-    tau_+ : X fixed, T_{i>0} fixed, T_0 -> q^-1 X_theta T_0^-1,
-            pi_r -> q^{-(w_r,w_r)/2} X_r pi_r
+    tau_+ : X, T_1..T_n fixed, pi_r -> q^{-(w_r,w_r)/2} X_r pi_r
     tau_- : T, pi fixed, X_r -> q^{(w_r,w_r)/2} Y_r X_r
 
 with inverse letters obtained by formal inversion (locked by round-trip
 tests), and Y_r = pi_r T_{i_1} ... T_{i_l} along a reduced word for
-u_r = w_0 w_0^r.
+u_r = w_0 w_0^r, every i_k >= 1.  Only images of X are ever taken, and
+neither letter brings in the affine T_0, so no atom word holds it and
+`Rep.t_op` acts by T_1..T_n only.
 
 A projection gamma-hat(word)(Q)(1) and the Y-pass f(Y) g of a pair are
 sums of f_b O_b g over the weights b of f.  `apply_weights` builds O_b g
@@ -216,8 +217,7 @@ class Rep:
         self.n1 = n + 1
         self.L = 2 * self.n1
         self.half = self.n1                 # t^{1/2} in lattice units
-        self.theta = wt.theta(n)
-        self.mtheta = wt.wt_neg(self.theta)
+        self._t_up, self._t_dn = _key(0, self.half), _key(0, -self.half)
         self.omegas = [None] + [wt.fundamental(n, i) for i in range(1, n + 1)]
         self.alphas = [None] + [wt.alpha(n, i) for i in range(1, n + 1)]
         # L (w_k, w_j) = 2((n+1) min(k, j) - k j), so L (w_k, b) is the dot
@@ -232,7 +232,7 @@ class Rep:
         self._c = [None] + [r * (self.n1 - r) for r in range(1, n + 1)]
         self._img_memo = {}
         self._atoms = {}
-        self._t_steps = [{} for _ in range(self.n1)]
+        self._t_steps = [None] + [{} for _ in range(n)]
         # the fundamental steps Y_{omega_r} for `apply_weights`
         self.y_steps = [None] + [(0, self.y_atoms(r))
                                  for r in range(1, self.n1)]
@@ -308,32 +308,35 @@ class Rep:
     # -- generator actions -----------------------------------------------
 
     def t_op(self, i, f, sign=1):
-        """T_i^sign on an XPoly, in closed form monomial by monomial.
+        """T_i^sign on an XPoly, 1 <= i <= n, in closed form monomial by
+        monomial.
 
         T_i is the Demazure-Lusztig operator
-        t^{1/2} s_i + (t^{1/2} - t^{-1/2}) (s_i - 1)/(Z - 1), where
-        Z = q^cq X_w with w = alpha_i, cq = 0 for i >= 1 and w = -theta,
-        cq = 1 for i = 0.  With e = -(b, w), so that s_i X_b = X_b Z^e,
+        t^{1/2} s_i + (t^{1/2} - t^{-1/2}) (s_i - 1)/(Z - 1), Z = X_{alpha_i}.
+        With e = -(b, alpha_i) = -b_i, so that s_i X_b = X_b Z^e,
 
             T_i X_b = t^{1/2} X_b Z^e + (t^{1/2} - t^{-1/2}) X_b G_e(Z),
 
         G_e = 1 + Z + ... + Z^{e-1} for e > 0, -(Z^{-1} + ... + Z^e) for
         e < 0 and G_0 = 0.  T_i^{-1} = T_i - (t^{1/2} - t^{-1/2}) folds into
         the same pass: it subtracts X_b from the second sum.  Every term is
-        added straight into the output, shifted by its q-power and by
-        t^{+-1/2}; in lattice units q^cq is a shift by cq L and t^{1/2} one
-        by n + 1.
+        added straight into the output, shifted by t^{+-1/2}, in lattice
+        units one by n + 1.  Any other i raises ValueError: the affine T_0
+        is never needed (module docstring).
         """
+        if not 1 <= i <= self.n:
+            raise ValueError(f"T_{i} is not one of T_1..T_{self.n}")
         steps = self._t_steps[i]
+        up, dn = self._t_up, self._t_dn
         out = {}
         for b, c in f.items():
-            e = -b[i - 1] if i else sum(b)
+            e = -b[i - 1]
             if e > 0:
                 js, s = range(0 if sign == 1 else 1, e), 1
             else:
                 js, s = range(e, 0 if sign == 1 else 1), -1
             for j in js:
-                jw, up, dn = steps.get(j) or self._t_step(i, j)
+                jw = steps.get(j) or self._t_step(i, j)
                 k = tuple(map(add, b, jw)) if j else b
                 acc = out.get(k)
                 if acc is None:
@@ -342,22 +345,18 @@ class Rep:
                     _add_into(acc, c, up, s)
                 if not _add_into(acc, c, dn, -s):
                     del out[k]
-            ew, d, _ = steps.get(e) or self._t_step(i, e)
+            ew = steps.get(e) or self._t_step(i, e)
             k = tuple(map(add, b, ew)) if e else b
             acc = out.get(k)
             if acc is None:
-                out[k] = {key + d: v for key, v in c.items()}
-            elif not _add_into(acc, c, d):
+                out[k] = {key + up: v for key, v in c.items()}
+            elif not _add_into(acc, c, up):
                 del out[k]
         return out
 
     def _t_step(self, i, j):
-        """The multiple j w of T_i's root and the shifts q^{j cq} t^{+-1/2}
-        (`t_op`), built once per rank."""
-        w, cq = (self.alphas[i], 0) if i else (self.mtheta, self.L)
-        hit = self._t_steps[i][j] = (tuple(j * y for y in w),
-                                     _key(j * cq, self.half),
-                                     _key(j * cq, -self.half))
+        """The multiple j alpha_i (`t_op`), built once per rank."""
+        hit = self._t_steps[i][j] = tuple(j * y for y in self.alphas[i])
         return hit
 
     def pi_op(self, r, f, sign=1):
@@ -432,10 +431,10 @@ class Rep:
         """Image of a single atom under one tau letter, as (eq, atoms)."""
         kind, sgn = letter          # kind in {'+', '-'}
         a0 = atom[0]
-        if a0 == 'T' and atom[1] != 0:
+        if a0 == 'T':               # both letters fix T_1..T_n
             return 0, (atom,)
         if kind == '-':
-            if a0 in ('T', 'P'):
+            if a0 == 'P':
                 return 0, (atom,)
             b = atom[1]
             # factor X_b through the fundamental images:
@@ -457,16 +456,6 @@ class Rep:
         # tau_+ letters
         if a0 == 'X':
             return 0, (atom,)
-        L = self.L
-        if a0 == 'T':            # T_0
-            th, mth = self.theta, self.mtheta
-            if sgn == 1:
-                if atom[2] == 1:   # T_0 -> q^-1 X_theta T_0^-1
-                    return -L, (('X', th), ('T', 0, -1))
-                return L, (('T', 0, 1), ('X', mth))
-            if atom[2] == 1:       # tau_+^-1: T_0 -> q^-1 T_0^-1 X_theta
-                return -L, (('T', 0, -1), ('X', th))
-            return L, (('X', mth), ('T', 0, 1))
         # pi_r
         r, s = atom[1], atom[2]
         c = self._c[r]

@@ -3,9 +3,11 @@
 A link is a forest of [r,s]-labeled paths; each path ends in an arrowhead
 carrying a Young-diagram color.  Incidence is stored as a per-path share
 depth with the previous path, so the incidence number v(j,k) between paths
-is the minimum share depth over the interval (j, k].  A LinkPair joins two
-forests (twisted union), optionally reversing the second component (vee)
-or twisting by a coprime column (alpha, beta).
+is the minimum share depth over the interval (j, k].  `trees` decodes the
+share depths once into the forest's root trees, which the pipeline and the
+splice export walk.  A LinkPair joins two forests (twisted union),
+optionally reversing the second component (vee) or twisting by a coprime
+column (alpha, beta).
 
 Text format (whitespace-insensitive, # comments):
 
@@ -88,6 +90,39 @@ class ColoredForest:
             return len(self.paths[j].labels)
         lo, hi = min(j, k), max(j, k)
         return min(p.share for p in self.paths[lo + 1:hi + 1])
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """A splice vertex: its [r, s] label and the trees below it, each a
+    Vertex or the color of a path that ends there."""
+    label: tuple
+    below: tuple
+
+
+def trees(forest):
+    """The root trees of a forest in path order, each a Vertex or the color
+    of a path without labels.  Path k ends at the k-th color met in
+    depth-first order, and the labels on the way down to it are its own."""
+    paths = forest.paths
+
+    def level(lo, hi, depth):
+        out = []
+        k = lo
+        while k <= hi:
+            p = paths[k]
+            if len(p.labels) == depth:
+                out.append(p.color)
+                k += 1
+                continue
+            end = k
+            while end < hi and paths[end + 1].share > depth:
+                end += 1
+            out.append(Vertex(p.labels[depth], level(k, end, depth + 1)))
+            k = end + 1
+        return tuple(out)
+
+    return level(0, len(paths) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -371,22 +406,30 @@ def _site(pair, site):
 
 
 def drop_r0(pair, site):
-    """Delete vertices 1..i0 from every path through an r=0 vertex (4.4)."""
+    """Delete vertices 1..i0 from every path through an r=0 vertex (4.4).
+
+    The paths through it become a root tree of their own.  Where they sit
+    inside their root tree, the tree's later paths move up ahead of them,
+    so that those still share with the paths before the vertex."""
     comp, forest, j, i = _site(pair, site)
     if forest.paths[j].labels[i - 1][0] != 0:
         raise MoveNotApplicable("r != 0")
     lo, hi = _block(forest, j, i)
-    paths = []
-    for k, p in enumerate(forest.paths):
-        if lo <= k <= hi:
-            share = 0 if k == lo else p.share - i
-            p = Path(p.labels[i:], p.color, max(share, 0))
-        elif k == hi + 1:
-            # the prefix it shared with the block is gone: detach as a new
-            # subtree
-            p = Path(p.labels, p.color, 0)
-        paths.append(p)
-    return _edit(pair, comp, ColoredForest(tuple(paths)))
+    paths = forest.paths
+    block = [Path(p.labels[i:], p.color, p.share - i if k else 0)
+             for k, p in enumerate(paths[lo:hi + 1])]
+    end = hi + 1
+    while end < len(paths) and paths[end].share:
+        end += 1
+    later = list(paths[hi + 1:end])
+    inside = paths[lo].share > 0
+    if later:
+        # the prefix they shared with the block is gone
+        share = forest.incidence(lo - 1, hi + 1) if inside else 0
+        later[0] = replace(later[0], share=share)
+    moved = later + block if inside else block + later
+    return _edit(pair, comp,
+                 ColoredForest(paths[:lo] + tuple(moved) + paths[end:]))
 
 
 def contract_r1(pair, site):
@@ -458,12 +501,13 @@ def reorient(pair, sites):
         if not p.labels:
             raise MoveNotApplicable("pure arrowhead")
         lo, hi = _block(forest, j, len(p.labels))
-        block = {(comp, k) for k in range(lo, hi + 1)
-                 if len(forest.paths[k].labels) == len(p.labels)}
-        if not block <= sites:
+        block = range(lo, hi + 1)
+        if any((comp, k) not in sites
+               or len(forest.paths[k].labels) > len(p.labels)
+               for k in block):
             raise MoveNotApplicable("last vertex shared with kept path")
         paths = list(forest.paths)
-        for _, k in block:
+        for k in block:
             q = paths[k]
             r, s = q.labels[-1]
             paths[k] = replace(q, labels=q.labels[:-1] + ((-r, -s),))
@@ -516,17 +560,18 @@ def norm_diagram(pair, norm):
 
 
 def deg_a_bound(pair, normalization="min"):
-    """The a-degree bound (5.40) of the superpolynomial."""
+    """The a-degree bound (5.40) of the superpolynomial.
+
+    A path counts its boxes times the |r| of its labels after its last
+    r = 0 vertex: by (4.4), the vertices up to that one can be dropped."""
     pair = lower_twist(pair)
     bound = -sum(norm_diagram(pair, normalization))
     for f in pair.forests():
         for p in f.paths:
-            boxes = sum(p.color)
-            if p.labels:
-                tail = prod(abs(r) for r, _ in p.labels[1:])
-                bound += max(1, abs(p.labels[0][0])) * tail * boxes
-            else:
-                bound += boxes
+            rs = [abs(r) for r, _ in p.labels]
+            while 0 in rs:
+                rs = rs[rs.index(0) + 1:]
+            bound += prod(rs) * sum(p.color)
     return bound
 
 
@@ -535,26 +580,18 @@ def deg_a_bound(pair, normalization="min"):
 
 
 def _splice_tree(forest, out, indent):
-    cab = cab_params(forest)
+    def emit(tree, a, r, pad):
+        if not isinstance(tree, Vertex):
+            out.append(f"{pad}arrow ({','.join(map(str, tree))})")
+            return
+        r1, s = tree.label
+        a = a * r * r1 + s          # the cab parameter (`cab_params`)
+        out.append(f"{pad}node a={a} r={r1}")
+        for sub in tree.below:
+            emit(sub, a, r1, pad + "  ")
 
-    def emit(depth, lo, hi, pad):
-        k = lo
-        while k <= hi:
-            p = forest.paths[k]
-            if len(p.labels) == depth:
-                out.append(f"{pad}arrow ({','.join(map(str, p.color))})")
-                k += 1
-                continue
-            end = k
-            while end + 1 <= hi and \
-                    forest.paths[end + 1].share >= depth + 1:
-                end += 1
-            a, r = cab[k][depth]
-            out.append(f"{pad}node a={a} r={r}")
-            emit(depth + 1, k, end, pad + "  ")
-            k = end + 1
-
-    emit(0, 0, len(forest.paths) - 1, indent)
+    for tree in trees(forest):
+        emit(tree, 0, 0, indent)
 
 
 def splice_export(pair):

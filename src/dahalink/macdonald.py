@@ -10,7 +10,9 @@ With v the epsilon coordinates of b:
   * otherwise, with p the first position where v_p > min(v), i = p - 1 and
     c = s_i b, E_b is proportional to ((lam - 1) T_i + t^{1/2} - t^{-1/2})
     E_c, where lam = q^{c_i} t^{k_i - k_{i+1}} and k = w_c^{-1} rho is the
-    t-part of c-sharp (`weights.sharp_point`).
+    t-part of c-sharp.  With rho = (n, ..., 0) and w_c the maximal sorting
+    permutation of c (`weights.sort_perm_maximal`), k_i - k_{i+1} =
+    w_c(i+1) - w_c(i).
 
 The recursion ends: a pi step lowers sum(v) - (n+1) min(v) by one, and a
 T step keeps it and moves the first entry above min(v) one place left.
@@ -87,8 +89,8 @@ class Mac:
             u[i - 1], u[i] = u[i], u[i - 1]
             c = wt.from_eps(tuple(u))
             num, den = self.E(c)
-            k = wt.sharp_point(c)[2].kappa
-            eq, et = c[i - 1], k[i - 1] - k[i]
+            w = wt.sort_perm_maximal(c)[1]
+            eq, et = c[i - 1], w[i] - w[i - 1]
             L, h = rep.L, rep.half
             # lam - 1 and t^{1/2} - t^{-1/2}; the key 0 is q^0 t^0
             lam1 = lp_add_into({0: -1}, {0: 1}, eq * L, et * L)

@@ -26,8 +26,8 @@ from .daha import (
 )
 from .macdonald import get_mac
 from .links import (
-    LinkPair, ColoredForest, Path, lower_twist, deg_a_bound, norm_diagram,
-    drop_r0, contract_r1, MoveNotApplicable,
+    LinkPair, ColoredForest, Path, Vertex, trees, lower_twist, deg_a_bound,
+    norm_diagram, drop_r0, contract_r1, MoveNotApplicable,
 )
 
 
@@ -42,39 +42,28 @@ MAX_WINDOW_SHIFTS = 3
 # pre-polynomials
 
 def pre_polynomial(forest, rank):
-    """Product over subtrees of the projected tower of cable words.
+    """Product over the root trees (`links.trees`) of their projected
+    towers of cable words.
 
-    Every vertex applies the lift of its [r, s] column to the product of the
-    deeper factors and projects back to the polynomial module; arrowheads
-    seed the recursion with the integral Macdonald polynomial J.  The
-    result is a lattice XPoly (`daha`).
+    Every vertex applies the lift of its [r, s] column to the product of
+    the trees below it and projects back to the polynomial module;
+    arrowheads seed the recursion with the integral Macdonald polynomial J.
+    The result is a lattice XPoly (`daha`).
     """
-    rep = get_rep(rank)
-    paths = forest.paths
+    return _product(trees(forest), get_rep(rank))
 
-    def factor(lam):
-        return get_mac(rank).J(lam) if lam else xp_one(rank)
 
-    def block(lo, hi, depth):
-        out = None
-        k = lo
-        while k <= hi:
-            p = paths[k]
-            if len(p.labels) == depth:
-                f = factor(p.color)
-                k += 1
-            else:
-                end = k
-                while end + 1 <= hi and paths[end + 1].share >= depth + 1:
-                    end += 1
-                inner = block(k, end, depth + 1)
-                r, s = p.labels[depth]
-                f = gamma_hat_project(word_of_rs(r, s), inner, rep)
-                k = end + 1
-            out = f if out is None else xp_mul(out, f)
-        return out
+def _product(level, rep):
+    """The product of the trees of one level, as a lattice XPoly."""
+    return reduce(xp_mul, (_tree(t, rep) for t in level))
 
-    return block(0, len(paths) - 1, 0)
+
+def _tree(tree, rep):
+    """A vertex's projection of the trees below it, or J of a color."""
+    if isinstance(tree, Vertex):
+        return gamma_hat_project(word_of_rs(*tree.label),
+                                 _product(tree.below, rep), rep)
+    return get_mac(rep.n).J(tree) if tree else xp_one(rep.n)
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +89,17 @@ def _apply_fY(rep, f, g, sign=1):
 def _root_value(rep, forest):
     """The coinvariant of the pre-polynomial of a lone forest.
 
-    A root that is one tree with a vertex is projected at the coinvariant
-    point: its subtrees, the forest one level down, are built in full.  A
-    product of several root factors is built in full, since the coinvariant
-    is not multiplicative."""
-    first, *rest = forest.paths
-    if not first.labels or not all(p.share for p in rest):
-        return rep.coinvariant(pre_polynomial(forest, rep.n))
-    inner = ColoredForest(tuple(
-        Path(p.labels[1:], p.color, max(p.share - 1, 0))
-        for p in forest.paths))
-    Q = pre_polynomial(inner, rep.n)
-    word = word_of_rs(*first.labels[0])
-    return rep.coinvariant(gamma_hat_project(word, Q, rep, point=True))
+    A root that is one tree with a vertex (`links.trees`) is projected at
+    the coinvariant point, and only the trees below it are built in full.
+    A product of several root trees, or a lone arrowhead, is built in full,
+    since the coinvariant is not multiplicative."""
+    roots = trees(forest)
+    if len(roots) > 1 or not isinstance(roots[0], Vertex):
+        return rep.coinvariant(_product(roots, rep))
+    root, = roots
+    Q = _product(root.below, rep)
+    return rep.coinvariant(gamma_hat_project(word_of_rs(*root.label), Q, rep,
+                                             point=True))
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +124,7 @@ def _rank_value(pair, rank, norm):
     Y-pass, and a lone forest from its root projection where the root is
     one tree (`_root_value`); both reach the weights that are not dominant
     at the coinvariant point (`daha.apply_weights`)."""
-    if pair.twist is not None:
-        pair = lower_twist(pair)
+    pair = lower_twist(pair)
     lam = norm_diagram(pair, norm)
     rep = get_rep(rank)
     if pair.second is None:
@@ -406,30 +392,24 @@ def check_positivity(sup, p_t, p_q=0, cutoff=12, margin=0):
     return {"ok": True, "cutoff": cutoff}
 
 
-def _swap(pair):
-    low = lower_twist(pair)
-    if low.second is None:
-        return low
-    return LinkPair(low.second, low.first, low.vee)
-
-
 def check_symmetries(pair, suite, rank=1, norm="min", sup=None):
-    """Run the requested identity checks; returns {name: report}."""
+    """Run the requested identity checks on the pair with its twist
+    lowered (`links.lower_twist`); returns {name: report}."""
     unknown = [name for name in suite if name not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; the known checks are "
                          f"{sorted(_CHECKS)}")
+    low = lower_twist(pair)
     out = {}
     for name in suite:
         try:
-            out[name] = _CHECKS[name](pair, rank, norm, sup)
+            out[name] = _CHECKS[name](low, rank, norm, sup)
         except MoveNotApplicable:
             out[name] = {"ok": True, "skipped": "no applicable site"}
     return out
 
 
-def _check_lifts(pair, rank, norm, sup):
-    low = lower_twist(pair)
+def _check_lifts(low, rank, norm, sup):
     base = jd(low, rank, norm).poly
     forest = low.first
     labels = [l for p in forest.paths for l in p.labels]
@@ -447,9 +427,9 @@ def _check_lifts(pair, rank, norm, sup):
     return {"ok": ok, "word": w, "base": poly_text(base)}
 
 
-def _check_moves(pair, rank, norm, sup):
-    low = lower_twist(pair)
+def _check_moves(low, rank, norm, sup):
     base = jd(low, rank, norm).poly
+    lam = norm_diagram(low, norm)
     tried = []
     for comp, forest in enumerate(low.forests()):
         for j, p in enumerate(forest.paths):
@@ -463,47 +443,48 @@ def _check_moves(pair, rank, norm, sup):
                     moved = move(low, (comp, j, i))
                 except MoveNotApplicable:
                     continue
-                got = jd(moved, rank, norm).poly
+                # `drop_r0` may reorder the paths: ("j_o", idx) follows the
+                # color it names
+                mnorm = norm if norm in ("min", "none") else \
+                    ("j_o", _all_colors(moved).index(lam))
+                got = jd(moved, rank, mnorm).poly
                 tried.append((move.__name__, (comp, j, i), got == base))
     ok = all(t[2] for t in tried)
     return {"ok": ok, "tried": tried} if tried else \
         {"ok": True, "skipped": "no applicable site"}
 
 
-def _check_duality(pair, rank, norm, sup):
-    s = sup if sup is not None else superpolynomial(pair, norm)
+def _check_duality(low, rank, norm, sup):
+    s = sup if sup is not None else superpolynomial(low, norm)
     flipped = psubstitute(s.poly, q=(1, 0, -1, 0), t=(1, -1, 0, 0))
-    tr = _transpose_pair(pair)
-    s2 = superpolynomial(tr, norm)
+    s2 = superpolynomial(_transpose_pair(low), norm)
     ok = _hat_eq(flipped, s2.poly)
     return {"ok": ok}
 
 
-def _transpose_pair(pair):
+def _transpose_pair(low):
     def tf(forest):
         if forest is None:
             return None
         return ColoredForest(tuple(
             Path(p.labels, wt.transpose(p.color), p.share)
             for p in forest.paths))
-    return LinkPair(tf(pair.first), tf(pair.second), pair.vee, pair.twist)
+    return LinkPair(tf(low.first), tf(low.second), low.vee)
 
 
-def _check_phi_swap(pair, rank, norm, sup):
-    low = lower_twist(pair)
+def _check_phi_swap(low, rank, norm, sup):
     if low.second is None or low.vee:
         return {"ok": True, "skipped": "needs a plain pair"}
     a = jd_raw(low, rank, norm)
-    b = jd_raw(_swap(low), rank, norm)
+    b = jd_raw(LinkPair(low.second, low.first), rank, norm)
     return {"ok": a == b}
 
 
-def _check_q1(pair, rank, norm, sup):
+def _check_q1(low, rank, norm, sup):
     """q = 1 factors into the component (knot) values up to a cofactor of
     the shape (1+a)^i q^j t^k."""
-    s = sup if sup is not None else superpolynomial(pair, norm)
+    s = sup if sup is not None else superpolynomial(low, norm)
     whole = psubstitute(s.poly, q=(1, 0, 0, 0))
-    low = lower_twist(pair)
     prod = pone()
     for forest in low.forests():
         for sub in _component_trees(forest):
@@ -534,11 +515,11 @@ def _cofactor_ok(p1, p2):
     return len(q) == 1 and next(iter(q.values())) in (1, -1)
 
 
-def _check_stab_extra(pair, rank, norm, sup):
-    s = sup if sup is not None else superpolynomial(pair, norm)
+def _check_stab_extra(low, rank, norm, sup):
+    s = sup if sup is not None else superpolynomial(low, norm)
     m = s.verified_rank + 1
     try:
-        got = jd(lower_twist(pair), m, norm).poly
+        got = jd(low, m, norm).poly
     except RankTooSmall:
         return {"ok": True, "skipped": "rank"}
     return {"ok": _at_rank(s.poly, m) == got, "rank": m}

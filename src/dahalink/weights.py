@@ -2,8 +2,7 @@
 
 Weights of A_n are stored as integer tuples in the fundamental-weight basis
 (l_1, ..., l_n).  Internally most computations pass through epsilon
-coordinates v = (v_1, ..., v_{n+1}) with v_i = l_i + ... + l_n, v_{n+1} = 0;
-the pairing is shift-invariant so the choice of representative is harmless.
+coordinates v = (v_1, ..., v_{n+1}) with v_i = l_i + ... + l_n, v_{n+1} = 0.
 
 Permutations of S_{n+1} are tuples w with w[i] = image of position i
 (0-indexed); they act on epsilon coordinates by permuting places.
@@ -12,15 +11,10 @@ Permutations of S_{n+1} are tuples w with w[i] = image of position i
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .scalars import _ex, FactoredBinomial, binomial_fb, a_atom
-
-
-class RankMismatch(Exception):
-    pass
+from .scalars import FactoredBinomial, binomial_fb, a_atom
 
 
 class RankTooSmall(Exception):
@@ -61,33 +55,12 @@ def wt_neg(b):
     return from_eps(tuple(-x for x in to_eps(b)))
 
 
-def theta(n):
-    """Highest root eps_1 - eps_{n+1}."""
-    return from_eps((1,) + (0,) * (n - 1) + (-1,))
-
-
 def alpha(n, i):
     """Simple root alpha_i = eps_i - eps_{i+1}."""
     v = [0] * (n + 1)
     v[i - 1] = 1
     v[i] = -1
     return from_eps(tuple(v))
-
-
-@lru_cache(maxsize=None)
-def pairing(b, c):
-    if len(b) != len(c):
-        raise RankMismatch
-    n1 = len(b) + 1
-    v, u = to_eps(b), to_eps(c)
-    sv, su = sum(v), sum(u)
-    dot = sum(x * y for x, y in zip(v, u))
-    return _ex(Fraction(dot * n1 - sv * su, n1))
-
-
-def rho_eps(n):
-    """rho in epsilon coordinates (up to the constant shift): (n, ..., 0)."""
-    return tuple(range(n, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -137,33 +110,6 @@ def sort_perm_maximal(b):
 
 
 # ---------------------------------------------------------------------------
-# evaluation points
-
-class EvalPoint:
-    """X_b evaluates to q^{(b,beta)} t^{(b,kappa)} (epsilon coordinates)."""
-
-    __slots__ = ('beta', 'kappa')
-
-    def __init__(self, beta, kappa):
-        self.beta = tuple(beta)
-        self.kappa = tuple(kappa)
-
-    def exponents(self, b):
-        """(q-exponent, t-exponent) of the value of X_b."""
-        return (pairing(b, from_eps(self.beta)),
-                pairing(b, from_eps(self.kappa)))
-
-
-def sharp_point(b):
-    """(b_plus, w_b, b-sharp) with b-sharp = b + w_b^{-1}(rho_k)."""
-    b_plus, w = sort_perm_maximal(b)
-    n1 = len(b) + 1
-    rho = rho_eps(len(b))
-    kappa = tuple(rho[w[i]] for i in range(n1))  # w^{-1}(rho)
-    return b_plus, w, EvalPoint(to_eps(b), kappa)
-
-
-# ---------------------------------------------------------------------------
 # Young diagrams
 
 def to_weight(lam, n):
@@ -198,12 +144,11 @@ def arm_leg(lam):
 def poincare(b):
     """Poincare polynomial sum t^{l(w)} of the stabilizer of b in S_{n+1},
     factored: the product of [m]_t! over the multiplicities m of b's
-    epsilon coordinates (b = 0 gives all of S_{n+1})."""
-    out = FactoredBinomial.one()
-    for m in Counter(to_eps(b)).values():
-        for i in range(2, m + 1):
-            out = out.mul(binomial_fb(0, i)).div(binomial_fb(0, 1))
-    return out
+    epsilon coordinates (b = 0 gives all of S_{n+1}).  [i]_t is the
+    product of the cyclotomic atoms Phi_d(t) over the divisors 1 < d of i."""
+    return FactoredBinomial(1, (0, 0, 0), [
+        ('c', d, 0, 1) for m in Counter(to_eps(b)).values()
+        for i in range(2, m + 1) for d in range(2, i + 1) if not i % d])
 
 
 @lru_cache(maxsize=None)

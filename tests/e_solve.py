@@ -20,6 +20,7 @@ from dahalink import weights as wt
 from dahalink.scalars import FactoredBinomial, binomial_fb, _ex
 from chains import xp_mono
 from scal import Scal
+from weyl import sharp_point
 
 
 class EigenvalueCollision(Exception):
@@ -70,7 +71,7 @@ def span_weights(b):
 def eigen_exp(rep, i, c):
     """(q-exp, t-exp) of q^{-(w_i, c-sharp)}, the Y_{omega_i} eigenvalue
     of E_c."""
-    _, _, pt = wt.sharp_point(c)
+    _, _, pt = sharp_point(c)
     eq, et = pt.exponents(rep.omegas[i])
     return (_ex(-eq), _ex(-et))
 

@@ -20,7 +20,7 @@ from dahalink.scalars import (FactoredBinomial, pmono, pone, pmul,
 from dahalink.macdonald import get_mac
 from scal import Scal
 from scal_xpoly import xp_one, xp_add_into, xp_scale, xp_mul, p_scal
-from weyl import eval_products
+from weyl import eval_products, pairing
 
 
 def _rho_weight(n):
@@ -43,7 +43,7 @@ def P_eval(mac, lam):
             for j in range(0, vb[l] - vb[m]):
                 num = num.mul(binomial_fb(j, p + 1))
                 den = den.mul(binomial_fb(j, p))
-    shift = -wt.pairing(b, _rho_weight(mac.n))
+    shift = -pairing(b, _rho_weight(mac.n))
     return num.mul(FactoredBinomial(1, (0, shift, 0))), den
 
 
@@ -57,7 +57,7 @@ def E_eval(mac, b):
     """Closed-form E_b(q^{-rho_k}) as a Scal."""
     b_plus, _ = wt.sort_perm_maximal(b)
     num, den = eval_products(b)
-    t_shift = -wt.pairing(b_plus, _rho_weight(mac.n))
+    t_shift = -pairing(b_plus, _rho_weight(mac.n))
     return ratio_scal(num, den, t_shift)
 
 

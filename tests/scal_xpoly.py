@@ -14,6 +14,7 @@ from fractions import Fraction
 from dahalink import weights as wt
 from dahalink.daha import OffLattice
 from scal import Scal
+from weyl import EvalPoint, rho_eps
 
 HALF = Fraction(1, 2)
 
@@ -66,7 +67,7 @@ def xp_eq(f, g):
 
 def minus_rho_k(n):
     """The coinvariant point q^{-rho_k}: X_a -> t^{-(rho,a)}."""
-    return wt.EvalPoint((0,) * (n + 1), tuple(-x for x in wt.rho_eps(n)))
+    return EvalPoint((0,) * (n + 1), tuple(-x for x in rho_eps(n)))
 
 
 def xp_eval(f, point):

@@ -17,7 +17,7 @@ from dahalink.daha import (
 )
 from dahalink.macdonald import get_mac
 from chains import xp_mono
-from weyl import diagrams
+from weyl import diagrams, pairing
 from factoring import scal_inv
 from scal import Scal
 import scal_xpoly as sx
@@ -60,45 +60,40 @@ def x_plus_xinv():
 
 
 def t_op_by_division(rep, i, f, sign=1):
-    """Reference T_i^sign on a Scal XPoly:
+    """Reference T_i^sign on a Scal XPoly, 1 <= i <= n:
     t^{1/2} s_i f + (t^{1/2} - t^{-1/2}) g, where g is
-    the exact quotient of s_i f - f by q^cq X_w - 1 (w = alpha_i, cq = 0 for
-    i >= 1; w = -theta, cq = 1 for i = 0), and T_i^{-1} = T_i - (t^{1/2} -
-    t^{-1/2})."""
-    w, cq = (wt.alpha(rep.n, i), 0) if i else (rep.mtheta, 1)
+    the exact quotient of s_i f - f by X_{alpha_i} - 1, and T_i^{-1} = T_i -
+    (t^{1/2} - t^{-1/2})."""
     sf = {}
     for b, c in f.items():
         v = list(wt.to_eps(b))
-        if i:
-            v[i - 1], v[i] = v[i], v[i - 1]
-        else:
-            v[0], v[-1] = v[-1], v[0]
-            c = c.scale(1, (sum(b), 0, 0))      # q^{(b, theta)}
+        v[i - 1], v[i] = v[i], v[i - 1]
         sx.xp_add_into(sf, {wt.from_eps(tuple(v)): c})
-    quo = _div_binomial(sx.xp_add_into(dict(sf), f, Scal.mono(c=-1)), w, cq)
+    quo = _div_binomial(sx.xp_add_into(dict(sf), f, Scal.mono(c=-1)),
+                        wt.alpha(rep.n, i))
     out = sx.xp_add_into(sx.xp_scale(sf, T_HALF), quo, T_DIFF)
     if sign == -1:
         sx.xp_add_into(out, f, T_DIFF.neg())
     return out
 
 
-def _div_binomial(g, w, cq):
-    """Exact quotient of g by q^cq X_w - 1, by string division.
+def _div_binomial(g, w):
+    """Exact quotient of g by X_w - 1, by string division.
 
     Each step removes the key b with the largest (b, w) and carries its
-    coefficient, times q^-cq, down to b - w.  An exact quotient has no key
+    coefficient down to b - w.  An exact quotient has no key
     with (b, w) below the least (b, w) of g, so such a key proves the
     division inexact.
     """
     g = dict(g)
-    lo = min((wt.pairing(b, w) for b in g), default=0)
+    lo = min((pairing(b, w) for b in g), default=0)
     quo = {}
     while g:
-        top = max(g, key=lambda b: wt.pairing(b, w))
+        top = max(g, key=lambda b: pairing(b, w))
         h = wt.wt_add(top, wt.wt_neg(w))
-        if wt.pairing(h, w) < lo:
-            raise AssertionError("q^cq X_w - 1 does not divide g")
-        c = g.pop(top).scale(1, (-cq, 0, 0))
+        if pairing(h, w) < lo:
+            raise AssertionError("X_w - 1 does not divide g")
+        c = g.pop(top)
         sx.xp_add_into(quo, {h: c})
         sx.xp_add_into(g, {h: c})
     return quo
@@ -286,7 +281,7 @@ def test_t_op_matches_division(n, data):
     rep = get_rep(n)
     f = data.draw(xpolys(n))
     lat = sx.xp_to_lattice(rep, f)
-    for i in range(n + 1):
+    for i in range(1, n + 1):
         for sign in (1, -1):
             assert sx.xp_eq(to_scal(rep, rep.t_op(i, lat, sign)),
                             t_op_by_division(rep, i, f, sign))
@@ -296,7 +291,7 @@ def test_t_op_matches_division(n, data):
 def test_quadratic_hecke_relation(n):
     rep = get_rep(n)
     for f in basket(n, 1):
-        for i in range(0, n + 1):
+        for i in range(1, n + 1):
             tf = rep.t_op(i, f)
             ttf = rep.t_op(i, tf)
             # T^2 = (t^{1/2}-t^{-1/2}) T + 1
@@ -308,8 +303,8 @@ def test_quadratic_hecke_relation(n):
 def test_braid_relations(n):
     rep = get_rep(n)
     f = basket(n, 2)[0]
-    for i in range(0, n + 1):
-        j = (i + 1) % (n + 1)
+    for i in range(1, n):
+        j = i + 1
         lhs = rep.t_op(i, rep.t_op(j, rep.t_op(i, f)))
         rhs = rep.t_op(j, rep.t_op(i, rep.t_op(j, f)))
         assert lhs == rhs
@@ -318,13 +313,13 @@ def test_braid_relations(n):
 def test_t_inverse():
     rep = get_rep(2)
     for f in basket(2, 3):
-        for i in range(3):
+        for i in range(1, 3):
             assert rep.t_op(i, rep.t_op(i, f, sign=-1)) == f
 
 
 def test_t_on_constant():
     rep = get_rep(2)
-    for i in range(3):
+    for i in range(1, 3):
         assert sx.xp_eq(to_scal(rep, rep.t_op(i, xp_one(2))),
                         sx.xp_scale(sx.xp_one(2), T_HALF))
 
@@ -391,8 +386,8 @@ def test_tau_minus_power_is_the_y_gaussian(n):
         J = get_mac(n).J(lam)
         for k in (1, -1, 2, -2, 3):
             word = (('-', 1 if k > 0 else -1),) * abs(k)
-            eigen = rep.to_lattice(pmono(Fraction(-k * wt.pairing(b, b), 2),
-                                         -k * wt.pairing(b, (1,) * n)))
+            eigen = rep.to_lattice(pmono(Fraction(-k * pairing(b, b), 2),
+                                         -k * pairing(b, (1,) * n)))
             assert (gamma_hat_project(word, J, rep)
                     == xp_add_into({}, J, eigen)), (lam, k)
 
@@ -440,16 +435,16 @@ def test_coinvariant_of_T_i_is_t_half_times_the_coinvariant(n, data):
                     == lp_shift(val, 0, sign * rep.half)), (i, sign)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_coinvariant_of_T_0_is_not_t_half_times_the_coinvariant(n):
-    """The identity fails for T_0, so the walk never reflects through it:
-    on X_{omega_1} the q-power that T_0 brings stays at the point."""
-    rep = get_rep(n)
-    f = xp_mono(rep.omegas[1])
-    val = rep.coinvariant(f)
-    for sign in (1, -1):
-        assert (rep.coinvariant(rep.t_op(0, f, sign))
-                != lp_shift(val, 0, sign * rep.half)), sign
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_t_op_refuses_what_is_not_T_1_to_T_n(i):
+    """No tau-image of X holds the affine T_0, so `t_op` acts by T_1..T_n
+    only; any other index raises, even on a constant, where b[i - 1] would
+    otherwise read a coordinate of the wrong root."""
+    rep = get_rep(2)
+    for f in (xp_one(2), xp_mono(rep.omegas[1])):
+        for sign in (1, -1):
+            with pytest.raises(ValueError, match="T_1..T_2"):
+                rep.t_op(i, f, sign)
 
 
 # ---------------------------------------------------------------------------

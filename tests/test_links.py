@@ -1,14 +1,15 @@
 """Link forests: parsing, cab parameters, moves, positivity, a-degrees."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dahalink.links import (
-    Path, ColoredForest, LinkPair,
+    Path, ColoredForest, LinkPair, Vertex,
     NonCoprimeLabel, BadShareDepth, MoveNotApplicable,
-    parse_dsl, to_dsl, to_json, cab_params, linking_number,
+    parse_dsl, to_dsl, to_json, cab_params, linking_number, trees,
     drop_r0, contract_r1, transpose_first, mirror, reorient,
     lower_twist, deg_a_bound, splice_export,
 )
@@ -18,6 +19,9 @@ from degree import classify_positive, exact_deg_a
 TREFOIL = "{[3,2]->(1)}"
 TWO_TREFOIL = "{[3,2]->(1) | ^1 [3,2]->(1)}"
 SHARED_R1 = "{[1,1],[3,2]->(1) | ^1 [1,1],[2,1]->(1)}"
+# the paths through the r = 0 vertex sit in the middle of their root tree
+MIDDLE_R0 = ("{[1,1],[2,1]->(1) | ^1 [1,1],[0,1],[3,2]->(1)"
+             " | ^1 [1,1],[2,3]->(1)}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +141,39 @@ def test_malformed_json_raises_syntax_error(text):
 # ---------------------------------------------------------------------------
 # cab parameters and linking numbers
 
+# ---------------------------------------------------------------------------
+# root trees
+
+def _arrowheads(level, above=()):
+    """(vertices on the way down, color) for each arrowhead, in order."""
+    for tree in level:
+        if isinstance(tree, Vertex):
+            yield from _arrowheads(tree.below, above + (tree,))
+        else:
+            yield above, tree
+
+
+@given(forests())
+@settings(max_examples=60, deadline=None)
+def test_trees_decode_the_paths(forest):
+    heads = list(_arrowheads(trees(forest)))
+    assert [c for _, c in heads] == [p.color for p in forest.paths]
+    for (down, _), p in zip(heads, forest.paths):
+        assert tuple(v.label for v in down) == p.labels
+    for (prev, _), (down, _), p in zip(heads, heads[1:], forest.paths[1:]):
+        shared = 0
+        while (shared < min(len(prev), len(down))
+               and prev[shared] is down[shared]):
+            shared += 1
+        assert shared == p.share
+
+
+def test_trees_of_a_shared_root():
+    forest = parse_dsl("{[3,2]->(1) | ^1 [3,2],[2,1]->(2) | ()->(1,1)}").first
+    assert trees(forest) == (
+        Vertex((3, 2), ((1,), Vertex((2, 1), ((2,),)))), (1, 1))
+
+
 def test_cab_single_vertex():
     (row,) = cab_params(parse_dsl(TREFOIL).first)
     assert row == ((2, 3),)
@@ -221,6 +258,13 @@ def test_drop_r0():
     assert out.first.paths[1].labels == ()       # unknot arrowhead
 
 
+def test_drop_r0_keeps_the_tree_of_a_middle_block():
+    # the later path of the tree still shares [1,1] with the first path
+    out = drop_r0(parse_dsl(MIDDLE_R0), (0, 1, 2))
+    assert to_dsl(out) == "{[1,1],[2,1]->(1) | [1,1],[2,3]->(1) | [3,2]->(1)}"
+    assert _all_linking(out.first) == [4, 0, 0]
+
+
 def test_drop_r0_splits_subtree():
     # untouched deeper branch survives with its prefix intact
     pair = parse_dsl("{[2,1],[0,1]->(1) | ^1 [2,1],[3,2]->(1)}")
@@ -246,6 +290,11 @@ def test_reorient_shared_vertex_guard():
         reorient(pair, [(0, 0)])
     out = reorient(pair, [(0, 0), (0, 1)])
     assert all(p.labels == ((-3, -2),) for p in out.first.paths)
+    # a longer path runs through the last vertex, before or after the path
+    for dsl, site in (("{[3,2]->(1) | ^1 [3,2],[2,1]->(1)}", (0, 0)),
+                      ("{[3,2],[2,1]->(1) | ^1 [3,2]->(1)}", (0, 1))):
+        with pytest.raises(MoveNotApplicable, match="kept path"):
+            reorient(parse_dsl(dsl), [site])
 
 
 def test_move_not_applicable():
@@ -283,6 +332,7 @@ def _all_linking(forest):
 @given(forests(min_paths=2))
 @example(parse_dsl("{[1,1]->(1) | [1,1]->(1)}").first)
 @example(parse_dsl(SHARED_R1).first)
+@example(parse_dsl(MIDDLE_R0).first)
 @settings(max_examples=60, deadline=None)
 def test_moves_preserve_linking(forest):
     pair = LinkPair(forest)
@@ -297,10 +347,27 @@ def test_moves_preserve_linking(forest):
                 assert _all_linking(out.first) == base
             if r == 0:
                 out = drop_r0(pair, (0, j, i))
-                ref = [0 if forest.incidence(a, b) >= i and
-                       _through(forest, j, i, a, b) else v
-                       for (a, b), v in zip(_pairs(forest), base)]
-                assert _all_linking(out.first) == ref
+                ref = dict(zip(_pairs(forest), [
+                    0 if forest.incidence(a, b) >= i and
+                    _through(forest, j, i, a, b) else v
+                    for (a, b), v in zip(_pairs(forest), base)]))
+                # drop_r0 may reorder the paths; colors that name each
+                # path's index say where each one went
+                tags = ColoredForest(tuple(replace(q, color=(k + 1,))
+                                           for k, q in enumerate(
+                                               forest.paths)))
+                tagged = drop_r0(LinkPair(tags), (0, j, i)).first
+                old = [q.color[0] - 1 for q in tagged.paths]
+                assert sorted(old) == list(range(len(forest.paths)))
+                for k, (q, t) in enumerate(zip(out.first.paths,
+                                               tagged.paths)):
+                    src = forest.paths[old[k]]
+                    cut = i if _through(forest, j, i, old[k], old[k]) else 0
+                    assert (q.labels, q.share, q.color) == \
+                        (src.labels[cut:], t.share, src.color)
+                for (a, b), v in zip(_pairs(out.first),
+                                     _all_linking(out.first)):
+                    assert v == ref[tuple(sorted((old[a], old[b])))]
         if p.labels:
             out = transpose_first(pair, (0, j))
             assert _all_linking(out.first) == base
@@ -400,6 +467,25 @@ def test_deg_a_normalizations():
     assert b_none - b_jo == 2
 
 
+def test_deg_a_counts_the_labels_after_the_last_r0_vertex():
+    # by (4.4) the vertices up to an r = 0 vertex drop out
+    assert deg_a_bound(parse_dsl("{[2,1],[0,1],[3,2]->(1)}")) == \
+        deg_a_bound(parse_dsl(TREFOIL)) == 2
+    pair = parse_dsl(MIDDLE_R0)
+    assert deg_a_bound(pair) == deg_a_bound(drop_r0(pair, (0, 1, 2))) == 6
+
+
+@given(forests())
+@settings(max_examples=60, deadline=None)
+def test_drop_r0_keeps_the_deg_a_bound(forest):
+    pair = LinkPair(forest)
+    for j, p in enumerate(forest.paths):
+        for i, (r, _) in enumerate(p.labels, start=1):
+            if r == 0:
+                out = drop_r0(pair, (0, j, i))
+                assert deg_a_bound(out) == deg_a_bound(pair), (j, i)
+
+
 def test_deg_a_nonpositive_no_claim():
     pair = parse_dsl("{[1,-1]->(1) | ^1 [1,-1]->(1)}")
     assert exact_deg_a(pair, "min") is None
@@ -424,6 +510,26 @@ def test_splice_hopf():
 def test_splice_pair():
     text = splice_export(parse_dsl("{[3,2]->(1)} ; vee {[1,0]->(1)}"))
     assert "arc vee" in text and text.count("node") == 2
+
+
+# the full texts, as the forest's own scan of the share depths wrote them
+SPLICE_TEXTS = {
+    SHARED_R1:
+        "splice\n  node a=1 r=1\n    node a=5 r=3\n      arrow (1)\n"
+        "    node a=3 r=2\n      arrow (1)\n",
+    "{[1,1]->(1) | ^0 [1,1]->(1)}":
+        "splice\n  node a=1 r=1\n    arrow (1)\n  node a=1 r=1\n"
+        "    arrow (1)\n",
+    "twist [2,1] {[1,2]->(2)} ; vee {[3,4],[2,5]->(1,1)}":
+        "splice\n  twist [2,1]\n  arc vee\n    node a=2 r=1\n"
+        "      arrow (2)\n  --\n    node a=4 r=3\n      node a=29 r=2\n"
+        "        arrow (1,1)\n",
+}
+
+
+@pytest.mark.parametrize("dsl", sorted(SPLICE_TEXTS))
+def test_splice_text_pinned(dsl):
+    assert splice_export(parse_dsl(dsl)) == SPLICE_TEXTS[dsl]
 
 
 def test_splice_deterministic():

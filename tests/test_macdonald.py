@@ -23,6 +23,7 @@ from scal_xpoly import (xp_one, xp_mono, xp_add, xp_add_into, xp_eq,
                         xp_eval, xp_scale, to_scal, apply_linear, HALF,
                         minus_rho_k, xp_to_lattice, j_scal, e_scal, p_scal)
 import weyl
+from weyl import EvalPoint, pairing, sharp_point
 from norms import (E_eval, P_eval, P_spherical, norm_spherical, norm_stable,
                    ratio_scal, mu_inner_truncated, star_scal, star_xpoly,
                    _rho_weight)
@@ -97,7 +98,7 @@ def tau_minus_dot(mac, f, m=1):
     for b, c in expand_in_E(mac, f).items():
         b_plus, _ = wt.sort_perm_maximal(b)
         eq = _ex(-m * weyl.norm2(b_plus) * HALF)
-        et = _ex(-m * wt.pairing(b_plus, _rho_weight(mac.n)))
+        et = _ex(-m * pairing(b_plus, _rho_weight(mac.n)))
         xp_add_into(out, e_scal(mac, b), c.scale(1, (eq, et, 0)))
     return out
 
@@ -106,11 +107,11 @@ def apply_fY(mac, f, g, sign=1):
     """f(Y^{-sign}) applied to g through the diagonal E-expansion."""
     out = {}
     for e, c in expand_in_E(mac, g).items():
-        _, _, pt = wt.sharp_point(e)
+        _, _, pt = sharp_point(e)
         if sign == 1:
             val = xp_eval(f, pt)
         else:
-            val = xp_eval(f, wt.EvalPoint(
+            val = xp_eval(f, EvalPoint(
                 tuple(-x for x in pt.beta), tuple(-x for x in pt.kappa)))
         xp_add_into(out, e_scal(mac, e), c.mul(val))
     return out
@@ -233,7 +234,7 @@ def test_T_intertwiner_maps_E_c_to_E_sic(n):
     cases = 0
     for c in _span_union(n, 3):
         E = solved(rep, c)
-        k = wt.sharp_point(c)[2].kappa
+        k = sharp_point(c)[2].kappa
         for i in range(1, n + 1):
             ci = c[i - 1]
             if not ci:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dahalink.links import (
     Path, ColoredForest, parse_dsl, lower_twist, cab_params,
-    norm_diagram, deg_a_bound,
+    norm_diagram, deg_a_bound, drop_r0,
 )
 from dahalink.scalars import (
     FactoredBinomial, InexactDivision, poly_parse, poly_text, pmul, ppow,
@@ -49,6 +49,10 @@ CABLE_32_11 = "{[1,1],[2,1]->(1) | ^1 [1,1]->(1)}"
 TWIST_11 = "twist [1,1] {[1,0]->(1)} ; vee {[2,1]->(1)}"
 HOPF_TRIPLE = "{[1,-1]->(1) | [1,-1]->(1) | ^1 [1,-1]->(1)}"
 POSITIVE_HOPF_TRIPLE = "{[1,1]->(1) | [1,1]->(1) | [1,1]->(1)}"
+# r = 0 vertices inside a path, and in the middle of a root tree
+INNER_R0 = "{[2,1],[0,1],[3,2]->(1)}"
+MIDDLE_R0 = ("{[1,1],[2,1]->(1) | ^1 [1,1],[0,1],[3,2]->(1)"
+             " | ^1 [1,1],[2,3]->(1)}")
 
 
 from functools import lru_cache
@@ -482,12 +486,15 @@ def test_lift_independence():
 def test_bad_normalization_fails_before_any_rank(norm, monkeypatch):
     def no_rank(*args):
         raise AssertionError("a rank was evaluated")
-    monkeypatch.setattr(pl, "pre_polynomial", no_rank)
-    pair = parse_dsl(T22)
-    with pytest.raises(ValueError):
-        pl.superpolynomial(pair, norm)
-    with pytest.raises(ValueError):
-        pl.jd(pair, 1, norm)
+    # every route builds its trees through `_product`: a one-tree root
+    # (T22) the trees below its root, a pair both of its forests
+    monkeypatch.setattr(pl, "_product", no_rank)
+    for dsl in (T22, T32_MERIDIAN_V):
+        pair = parse_dsl(dsl)
+        with pytest.raises(ValueError):
+            pl.superpolynomial(pair, norm)
+        with pytest.raises(ValueError):
+            pl.jd(pair, 1, norm)
 
 
 # the atom q t - 1 as a planted denominator of E_(1) at rank 1
@@ -556,6 +563,37 @@ def test_normalization_is_h_lambda_times_the_closed_evaluation(rank):
         num, den = P_eval(mac, lam)
         want = Scal(wt.h_lambda(lam).mul(num).expand()).div(den)
         assert rep.from_lattice(val) == want.as_poly(), (rank, lam)
+
+
+def test_moves_keep_the_tree_of_a_middle_r0_block():
+    for rank in (1, 2):
+        rep = pl.check_symmetries(parse_dsl(MIDDLE_R0), ["moves"], rank=rank)
+        assert rep["moves"] == {"ok": True,
+                                "tried": [("drop_r0", (0, 1, 2), True)]}
+    # the move puts path 2 before path 1, and a ("j_o", idx) normalization
+    # must still name the same color
+    colored = parse_dsl("{[1,1],[2,1]->(2) | ^1 [1,1],[0,1],[3,2]->(1)"
+                        " | ^1 [1,1],[2,3]->(1,1)}")
+    for idx in range(3):
+        rep = pl.check_symmetries(colored, ["moves"], rank=2,
+                                  norm=("j_o", idx))
+        assert rep["moves"]["ok"], idx
+
+
+@pytest.mark.parametrize("dsl,site", [(INNER_R0, (0, 0, 2)),
+                                      (MIDDLE_R0, (0, 1, 2))],
+                         ids=["inner", "middle"])
+def test_an_r0_vertex_gives_its_images_superpolynomial(dsl, site):
+    """(4.4): dropping the vertices up to an r = 0 vertex keeps the
+    invariant, and the a-degree bound counts only what is left."""
+    pair = parse_dsl(dsl)
+    image = drop_r0(pair, site)
+    assert deg_a_bound(pair) == deg_a_bound(image)
+    s, t = pl.superpolynomial(pair), pl.superpolynomial(image)
+    assert (s.poly, s.shift, s.ranks, s.verified_rank) == \
+        (t.poly, t.shift, t.ranks, t.verified_rank)
+    if dsl == INNER_R0:
+        assert s.poly == sup(TREFOIL).poly
 
 
 def test_q1_factorization():

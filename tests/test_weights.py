@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from dahalink.scalars import poly_parse
 from dahalink.weights import (
-    RankMismatch, RankTooSmall,
-    to_eps, from_eps, fundamental, wt_add, wt_neg, theta, alpha,
-    pairing, reduced_word, u_perm, sort_perm_maximal, sharp_point,
+    RankTooSmall,
+    to_eps, from_eps, fundamental, wt_add, wt_neg, alpha,
+    reduced_word, u_perm, sort_perm_maximal,
     to_weight, transpose, diagram_union, arm_leg, h_lambda, pi_dagger,
 )
 from scal_xpoly import minus_rho_k
 from weyl import (dominant, perm_id, perm_mul, perm_len, perm_act,
                   longest_element, to_diagram, lambda_plus_set, tilde_N,
-                  norm2)
+                  norm2, RankMismatch, theta, pairing, sharp_point)
 
 
 small_weights = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 2)

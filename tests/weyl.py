@@ -1,16 +1,44 @@
-"""Test oracle: Weyl-group helpers, Young diagrams of dominant weights and the
-closed evaluation products of E_b.
+"""Test oracle: Weyl-group helpers, the pairing, evaluation points, Young
+diagrams of dominant weights and the closed evaluation products of E_b.
 
 The package needs only the permutations that sort a weight or build the
-u_r words (`weights.sort_perm_maximal`, `u_perm`, `reduced_word`).  Tests check those, and the closed E_b(q^{-rho_k}) and
-integrality formulas, against the independent helpers here.
+u_r words (`weights.sort_perm_maximal`, `u_perm`, `reduced_word`).  Tests
+check those, and the closed E_b(q^{-rho_k}) and integrality formulas,
+against the independent helpers here.
 """
 
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 
-from dahalink.scalars import FactoredBinomial, binomial_fb
-from dahalink.weights import (to_eps, from_eps, pairing, perm_act_eps,
-                              sharp_point)
+from dahalink.scalars import FactoredBinomial, _ex, binomial_fb
+from dahalink.weights import (to_eps, from_eps, perm_act_eps,
+                              sort_perm_maximal)
+
+
+class RankMismatch(Exception):
+    pass
+
+
+def theta(n):
+    """Highest root eps_1 - eps_{n+1}."""
+    return from_eps((1,) + (0,) * (n - 1) + (-1,))
+
+
+@lru_cache(maxsize=None)
+def pairing(b, c):
+    if len(b) != len(c):
+        raise RankMismatch
+    n1 = len(b) + 1
+    v, u = to_eps(b), to_eps(c)
+    sv, su = sum(v), sum(u)
+    dot = sum(x * y for x, y in zip(v, u))
+    return _ex(Fraction(dot * n1 - sv * su, n1))
+
+
+def rho_eps(n):
+    """rho in epsilon coordinates (up to the constant shift): (n, ..., 0)."""
+    return tuple(range(n, -1, -1))
 
 
 def dominant(b):
@@ -51,6 +79,33 @@ def perm_act(w, b):
 
 def longest_element(n1):
     return tuple(range(n1 - 1, -1, -1))
+
+
+# ---------------------------------------------------------------------------
+# evaluation points
+
+class EvalPoint:
+    """X_b evaluates to q^{(b,beta)} t^{(b,kappa)} (epsilon coordinates)."""
+
+    __slots__ = ('beta', 'kappa')
+
+    def __init__(self, beta, kappa):
+        self.beta = tuple(beta)
+        self.kappa = tuple(kappa)
+
+    def exponents(self, b):
+        """(q-exponent, t-exponent) of the value of X_b."""
+        return (pairing(b, from_eps(self.beta)),
+                pairing(b, from_eps(self.kappa)))
+
+
+def sharp_point(b):
+    """(b_plus, w_b, b-sharp) with b-sharp = b + w_b^{-1}(rho_k)."""
+    b_plus, w = sort_perm_maximal(b)
+    n1 = len(b) + 1
+    rho = rho_eps(len(b))
+    kappa = tuple(rho[w[i]] for i in range(n1))  # w^{-1}(rho)
+    return b_plus, w, EvalPoint(to_eps(b), kappa)
 
 
 # ---------------------------------------------------------------------------
