@@ -39,7 +39,9 @@ neither letter brings in the affine T_0, so no atom word holds it and
 `Rep.t_op` acts by T_1..T_n only.
 
 A projection gamma-hat(word)(Q)(1) and the Y-pass f(Y) g of a pair are
-sums of f_b O_b g over the weights b of f.  `apply_weights` builds O_b g
+sums of f_b O_b g over the weights b of f.  A projection lifts the whole
+word: a trailing tau_+ letter fixes every X_b, so it leaves the image
+words, and the projection, as they are.  `apply_weights` builds O_b g
 with the image words of O_{omega_r} for dominant b only; every other
 weight is one T_i away from a weight nearer the dominant chamber, by the
 affine Hecke relation between T_i and O_b (Lusztig, J. AMS 2 (1989)),
@@ -563,20 +565,12 @@ def word_of_rs(r, s):
 def gamma_hat_project(word, Q, rep, point=False):
     """Apply the tau-word lift to a polynomial and project back to V.
 
-    Trailing tau_+ letters fix every X_b, so they are stripped before the
-    rest of the word is lifted by `_core_project`.  With `point`, the
-    caller keeps only the coinvariant of the result, and the result may be
-    that value on the zero weight (`apply_weights`).
+    The whole word is lifted.  A trailing tau_+ letter is harmless: tau_+
+    fixes every X_b, so the image of X_b under w tau_+^k is its image under
+    w, and the steps are the same.  With `point`, the caller keeps only the
+    coinvariant of the result, and the result may be that value on the zero
+    weight (`apply_weights`).
     """
-    if not Q:
-        return {}
-    core = tuple(word)
-    while core and core[-1][0] == '+':
-        core = core[:-1]
-    return _core_project(core, Q, rep, point)
-
-
-def _core_project(word, Q, rep, point=False):
     if not word:
         return dict(Q)
     steps = [None] + [rep.image_atom(word, ('X', om)) for om in rep.omegas[1:]]
@@ -612,8 +606,8 @@ def apply_weights(rep, f, steps, g, s, point=False):
 
     provided T_i g = t^{1/2} g for i = 1..n.  The two callers meet that
     precondition: s = +1 for the tau-images of X acting on g = 1
-    (`_core_project`; the tau's fix T_1..T_n), s = -1 for the Y-steps on a
-    symmetric g (`pipeline._apply_fY`).  The recursion ends: b' is one
+    (`gamma_hat_project`; the tau's fix T_1..T_n), s = -1 for the Y-steps
+    on a symmetric g (`pipeline._apply_fY`).  The recursion ends: b' is one
     reflection nearer the dominant chamber, and each b' - j alpha_i lies
     strictly inside the convex hull of b's Weyl orbit.
 

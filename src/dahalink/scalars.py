@@ -55,19 +55,11 @@ class FractionalResidue(Exception):
 # exponent / coefficient normalization helpers
 
 def _ex(e):
-    """Normalize an exponent: ints stay, integral Fractions collapse to int."""
-    if type(e) is int:
-        return e
-    if type(e) is Fraction:
-        return e.numerator if e.denominator == 1 else e
-    f = Fraction(e)
-    return f.numerator if f.denominator == 1 else f
-
-
-def _co(c):
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+    """Normalize an exponent or a coefficient: an integral Fraction
+    collapses to its int, and anything else stays as it is."""
+    if type(e) is Fraction and e.denominator == 1:
+        return e.numerator
+    return e
 
 
 def key_mul(k1, k2):
@@ -81,7 +73,7 @@ def pone():
     return {(0, 0, 0): 1}
 
 def pmono(eq=0, et=0, ea=0, c=1):
-    c = _co(c)
+    c = _ex(c)
     if c == 0:
         return {}
     return {(_ex(eq), _ex(et), ea): c}
@@ -90,7 +82,7 @@ def padd_into(acc, p, scale=1):
     if scale == 0:
         return acc
     for k, c in p.items():
-        v = _co(acc.get(k, 0) + c * scale)
+        v = _ex(acc.get(k, 0) + c * scale)
         if v:
             acc[k] = v
         else:
@@ -101,12 +93,12 @@ def psub(p1, p2):
     return padd_into(dict(p1), p2, -1)
 
 def pscale(p, c, key=(0, 0, 0)):
-    c = _co(c)
+    c = _ex(c)
     if c == 0:
         return {}
     if key == (0, 0, 0):
-        return {k: _co(v * c) for k, v in p.items()}
-    return {key_mul(k, key): _co(v * c) for k, v in p.items()}
+        return {k: _ex(v * c) for k, v in p.items()}
+    return {key_mul(k, key): _ex(v * c) for k, v in p.items()}
 
 def pmul(p1, p2):
     if len(p1) > len(p2):
@@ -115,7 +107,7 @@ def pmul(p1, p2):
     for k1, c1 in p1.items():
         for k2, c2 in p2.items():
             k = key_mul(k1, k2)
-            v = _co(acc.get(k, 0) + c1 * c2)
+            v = _ex(acc.get(k, 0) + c1 * c2)
             if v:
                 acc[k] = v
             else:
@@ -166,11 +158,11 @@ def pdivexact(num, den):
             raise InexactDivision(f"quotient key {qk} outside its degree box")
         qc, r = divmod(rem[lead], dc)
         if r:
-            qc = _co(Fraction(rem[lead], dc))
+            qc = _ex(Fraction(rem[lead], dc))
         quo[qk] = qc
         for k, c in den.items():
             kk = key_mul(qk, k)
-            v = _co(rem.get(kk, 0) - qc * c)
+            v = _ex(rem.get(kk, 0) - qc * c)
             if v:
                 rem[kk] = v
             else:
@@ -213,7 +205,7 @@ def psubstitute(p, q=None, t=None, a=None):
         kk = (_ex(parts[0]), _ex(parts[1]), parts[2])
         if type(kk[2]) is not int:
             raise FractionalResidue(f"fractional a-exponent {kk}")
-        v = _co(out.get(kk, 0) + coeff)
+        v = _ex(out.get(kk, 0) + coeff)
         if v:
             out[kk] = v
         else:
@@ -274,42 +266,31 @@ def atom_expand_cached(atom):
     raise ValueError(atom)
 
 
-def binomial_atoms(eq, et, plus=False):
-    """Factor 1 -+ q^eq t^et into atoms; returns (coeff, mono_key, atoms).
+def binomial_atoms(eq, et):
+    """Factor 1 - q^eq t^et into atoms; returns (coeff, mono_key, atoms).
 
-    The value equals coeff * q^.. t^.. * prod(atoms).  For the minus shape the
-    direction is normalized so atoms carry at >= 0 (and aq > 0 when at == 0).
+    The value equals coeff * q^.. t^.. * prod(atoms).  The direction is
+    normalized so atoms carry at >= 0 (and aq > 0 when at == 0).
     """
     eq = _ex(eq)
     et = _ex(et)
     if eq == 0 and et == 0:
-        if plus:
-            return (2, (0, 0, 0), ())
         raise ZeroPolynomial("1 - 1")
-    coeff = 1
+    coeff = -1
     key = (0, 0, 0)
     # normalize direction: want (at > 0) or (at == 0 and aq > 0)
     if (et, eq) < (0, 0) or (et == 0 and eq < 0):
-        if not plus:
-            # 1 - x^-g = -x^-g (1 - x^g)
-            coeff = -1
-            key = (eq, et, 0)
-        else:
-            # 1 + x^-g = x^-g (1 + x^g)
-            key = (eq, et, 0)
+        # 1 - x^-g = -x^-g (1 - x^g)
+        coeff = 1
+        key = (eq, et, 0)
         eq, et = -eq, -et
     # x = q^eq t^et = y^g with y = q^aq t^at primitive: g is the gcd of the
     # exponents scaled to integers by den, and y keeps the fractional part
     den = lcm(eq.denominator, et.denominator)
     g = gcd(int(eq * den), int(et * den))
     aq, at = _ex(Fraction(eq) / g), _ex(Fraction(et) / g)
-    if plus:
-        atoms = tuple(('c', d, aq, at) for d in _divisors(2 * g) if g % d != 0)
-    else:
-        # 1 - x^g = -(x^g - 1) = -prod_{d|g} Phi_d(x)
-        coeff = -coeff
-        atoms = tuple(('c', d, aq, at) for d in _divisors(g))
-    return (coeff, key, atoms)
+    # 1 - x^g = -(x^g - 1) = -prod_{d|g} Phi_d(x)
+    return (coeff, key, tuple(('c', d, aq, at) for d in _divisors(g)))
 
 
 def _divisors(n):
@@ -500,7 +481,7 @@ def poly_parse(s):
             else:
                 coeff = coeff * Fraction(fac)
         k = (_ex(eq), _ex(et), ea)
-        v = _co(out.get(k, 0) + sign * coeff)
+        v = _ex(out.get(k, 0) + sign * coeff)
         if v:
             out[k] = v
         else:

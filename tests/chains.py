@@ -59,7 +59,7 @@ def y_steps(rep):
 
 
 def core_project(word, Q, rep):
-    """`daha._core_project` along the chain."""
+    """`daha.gamma_hat_project` along the chain."""
     if not word:
         return dict(Q)
     return chain_apply_weights(rep, Q, tau_steps(rep, word), xp_one(rep.n))

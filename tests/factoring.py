@@ -20,6 +20,22 @@ class NotABinomialProduct(Exception):
     pass
 
 
+def plus_binomial_atoms(eq, et):
+    """Factor 1 + q^eq t^et into atoms, as `binomial_atoms` does 1 - x.
+
+    With x = y^g, y the primitive monomial `binomial_atoms(eq, et)` finds
+    (its atoms are Phi_d(y) for d | g), 1 + x = (1 - x^2) / (1 - x) is the
+    product of Phi_d(y) over d | 2g with d not dividing g.  Where x = y^-g,
+    the monomial x splits off: 1 + x = x (1 + y^g).
+    """
+    if eq == 0 and et == 0:
+        return (2, (0, 0, 0), ())
+    _, key, atoms = binomial_atoms(eq, et)
+    _, g, aq, at = atoms[-1]
+    return (1, key, tuple(('c', d, aq, at) for d in range(1, 2 * g + 1)
+                          if 2 * g % d == 0 and g % d != 0))
+
+
 def factor_binomials(p):
     """Write p as c * q^. t^. a^. * prod(atoms); NotABinomialProduct if not.
 
@@ -58,10 +74,9 @@ def factor_binomials(p):
                        key=lambda k: (abs(k[0]) + abs(k[1]), k))
         done = False
         for k in cands:
-            sgn = work[k]
-            plus = sgn > 0
+            split = plus_binomial_atoms if work[k] > 0 else binomial_atoms
             try:
-                bc, bk, batoms = binomial_atoms(k[0], k[1], plus=plus)
+                bc, bk, batoms = split(k[0], k[1])
             except ZeroPolynomial:
                 continue
             div = pmono(bk[0], bk[1], 0, bc)

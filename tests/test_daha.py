@@ -13,7 +13,6 @@ from dahalink.scalars import (FactoredBinomial, InexactDivision,
 from dahalink.daha import (
     get_rep, xp_one, xp_add_into, NotCoprime, OffLattice, T_LIMIT,
     lp_divexact, lp_shift, word_matrix, word_of_rs, gamma_hat_project,
-    _core_project,
 )
 from dahalink.macdonald import get_mac
 from chains import xp_mono
@@ -494,11 +493,25 @@ def test_gamma_project_empty_word():
 
 
 def test_gamma_project_optimization_agrees():
-    # stripping the trailing tau_+ letters does not change the projection
-    rep = get_rep(1)
-    f = x_plus_xinv()
-    w = word_of_rs(3, 2)
-    assert gamma_hat_project(w, f, rep) == _core_project(w, f, rep)
+    # tau_+ fixes every X_b, so appending tau_+ letters, or tau_+ tau_+^-1
+    # pairs, to a word leaves its projection as it is, at the coinvariant
+    # point too
+    up, down = ('+', 1), ('+', -1)
+    tails = [(up,), (down,), (up, up, up), (up, down), (down, up),
+             (down, up, up, down)]
+    for n in (1, 2):
+        rep = get_rep(n)
+        f = get_mac(n).J((1,))
+        for rs in [(3, 2), (-1, 0), (3, -2), (1, 1), (0, 1)]:
+            w = word_of_rs(*rs)
+            want = gamma_hat_project(w, f, rep)
+            at_point = rep.coinvariant(gamma_hat_project(w, f, rep,
+                                                         point=True))
+            assert rep.coinvariant(want) == at_point, (n, rs)
+            for tail in tails:
+                assert gamma_hat_project(w + tail, f, rep) == want, (n, rs)
+                assert rep.coinvariant(gamma_hat_project(
+                    w + tail, f, rep, point=True)) == at_point, (n, rs)
 
 
 def test_trefoil_from_monomial_orbit():

@@ -74,6 +74,20 @@ def test_parse_errors():
         parse_dsl("{[3,2]->(1) | ^2 [3,2]->(1)}")
     with pytest.raises(BadShareDepth):
         parse_dsl("{[3,2]->(1) | ^1 [2,3]->(1)}")
+    with pytest.raises(BadShareDepth, match="first path"):
+        parse_dsl("{^1 [3,2]->(1)}")
+    with pytest.raises(BadShareDepth):      # deeper than the previous path
+        parse_dsl("{[3,2]->(1) | ^2 [3,2],[2,1]->(1)}")
+    with pytest.raises(NonCoprimeLabel):
+        parse_dsl("twist [2,4] {[3,2]->(1)}")
+    for text in ("{[3,2]->(1,2)}", "{[3,2]->(0)}"):
+        with pytest.raises(ValueError, match="bad diagram"):
+            parse_dsl(text)
+    for text, match in (("{[3,2]->(1)} $", "bad character"),
+                        ("{[3,2]->[1]}", "expected '\\('"),
+                        ("{[3,x]->(1)}", "expected integer")):
+        with pytest.raises(SyntaxError, match=match):
+            parse_dsl(text)
 
 
 def test_vee_needs_partner():
@@ -132,6 +146,10 @@ def test_pair_roundtrip():
     '{"components": [[{"labels": [[3, 2]], "color": [1]}], '
     '[{"labels": [], "color": [1]}]], "vee": 1}',
     '{"components": [[{"labels": [[3, 2]], "color": [1]}]], "twist": 2}',
+    '{"components": [[{"labels": 5, "color": [1]}]]}',
+    '{"components": []}',
+    '{"components": [[{"labels": [], "color": [1]}], '
+    '[{"labels": [], "color": [1]}], [{"labels": [], "color": [1]}]]}',
 ])
 def test_malformed_json_raises_syntax_error(text):
     with pytest.raises(SyntaxError):
@@ -197,7 +215,10 @@ def test_cab_prefix_stable(forest):
 
 
 def test_linking_two_fold_trefoil():
-    assert linking_number(parse_dsl(TWO_TREFOIL).first, 0, 1) == 6
+    f = parse_dsl(TWO_TREFOIL).first
+    assert linking_number(f, 0, 1) == 6
+    with pytest.raises(ValueError, match="j != k"):
+        linking_number(f, 1, 1)
 
 
 def test_linking_cab_examples():
@@ -305,6 +326,23 @@ def test_move_not_applicable():
         drop_r0(pair, (0, 0, 1))
     with pytest.raises(MoveNotApplicable):
         transpose_first(parse_dsl("{()->(1)}"), (0, 0))
+    with pytest.raises(MoveNotApplicable, match="pure arrowhead"):
+        reorient(parse_dsl("{()->(1)}"), [(0, 0)])
+
+
+def test_moves_on_the_second_component():
+    # each move edits the forest it names and leaves the other one
+    pair = parse_dsl("{[3,2]->(1)} ; vee {[1,2],[2,1]->(1)}")
+    first = pair.first
+    cases = [(transpose_first(pair, (1, 0)), ((2, 1), (2, 1))),
+             (contract_r1(pair, (1, 0, 1)), ((2, 5),)),
+             (reorient(pair, [(1, 0)]), ((1, 2), (-2, -1)))]
+    for out, labels in cases:
+        assert out.first == first and out.vee
+        assert out.second.paths[0].labels == labels
+    out = mirror(pair)
+    assert out.first.paths[0].labels == ((3, -2),)
+    assert out.second.paths[0].labels == ((1, -2), (2, -1))
 
 
 @pytest.mark.parametrize("move,site", [
@@ -316,6 +354,8 @@ def test_move_not_applicable():
     (transpose_first, (0, 0, 1)),
     (drop_r0, (2, 0, 1)),
     (contract_r1, (0, 3, 1)),
+    (drop_r0, (0, 0, 2)),           # path 0 has one vertex
+    (contract_r1, (1, 0, 0)),
 ])
 def test_moves_reject_missing_sites(move, site):
     pair = parse_dsl("{[3,2]->(1) | [2,1]->(1)} ; vee {[2,1]->(1)}")

@@ -360,6 +360,15 @@ def test_alexander_values():
     assert pl.spec_alexander(sup(CABLE_32_11)) == poly_parse("1 + q^4")
 
 
+@pytest.mark.parametrize("dsl", ["{[3,2]->(1) | ^0 [2,1]->(1)}",
+                                 "{[1,0]->(1) | ^0 [1,0]->(1)}",
+                                 "{[1,1]->(1) | ^0 [1,1]->(1)}"])
+def test_alexander_of_a_split_link_is_zero(dsl):
+    """The paths share no vertex, so the link is split; its value at
+    t = q, a = -1 vanishes."""
+    assert pl.spec_alexander(sup(dsl)) == {}
+
+
 @pytest.mark.parametrize("dsl", ["twist [1,1] {[1,0]->(1)}",
                                  "twist [1,1] {[2,1]->(1)}"])
 def test_twist_without_second_tree_specializes_as_lowered(dsl):
@@ -368,7 +377,7 @@ def test_twist_without_second_tree_specializes_as_lowered(dsl):
     s, s_low = sup(dsl), pl.superpolynomial(lower_twist(pair))
     assert s.poly == s_low.poly
     assert pl.spec_alexander(s) == pl.spec_alexander(s_low)
-    assert pl.spec_khovanov(s, 2, "A") == pl.spec_khovanov(s_low, 2, "A")
+    assert pl.spec_khovanov(s, 2) == pl.spec_khovanov(s_low, 2)
 
 
 def _x_power_minus_one(n):
@@ -436,16 +445,42 @@ def test_a0_part_is_the_rational_catalan_number(mn):
 
 
 def test_khovanov_variant_a():
-    assert pl.spec_khovanov(sup(T22), 1, "A") == poly_parse(
+    assert pl.spec_khovanov(sup(T22), 1) == poly_parse(
         "1 + q^2 + q^4*t^2 + q^6*t^2")
-    assert pl.spec_khovanov(sup(T42), 1, "A") == poly_parse(
+    assert pl.spec_khovanov(sup(T42), 1) == poly_parse(
         "1 + q^2 + q^4*t^2 - q^8*t^2 + q^8*t^4 + q^10*t^4")
 
 
 def test_khovanov_variant_b():
-    assert pl.spec_khovanov(sup(NEG_HOPF), 5, "B") == poly_parse(
+    """The a -> -a^2 recipe at N = 5 is `spec_khovanov` at N = 4."""
+    assert pl.spec_khovanov(sup(NEG_HOPF), 4) == poly_parse(
         "1 + 2*q^2 + 3*q^4 + 4*q^6 + 4*q^8 + 3*q^10 + 2*q^12 + q^14"
         " + q^10*t^2 + q^12*t^2 + q^14*t^2 + q^16*t^2 + q^18*t^2")
+
+
+# knots, 2- and 3-component links and a colored knot
+KHOVANOV_LINKS = [TREFOIL, "{[5,2]->(1)}", T22, T42, NEG_HOPF, CABLE_32_11,
+                  THREE_CHAIN, POSITIVE_HOPF_TRIPLE, "{[3,2]->(1,1)}"]
+
+
+def _khovanov_b(s, N):
+    """The a -> -a^2 recipe: in the modified parameters q -> (qt)^2,
+    t -> q^2, a -> -a^2, then (1-a^2) * sup / (1-q^2)^kappa at a = q^N."""
+    num = psubstitute(s.poly, q=(1, 2, 2, 0), t=(1, 2, 0, 0),
+                      a=(-1, 0, 0, 2))
+    num = pmul(num, {(0, 0, 0): 1, (0, 0, 2): -1})
+    num = psubstitute(num, a=(1, N, 0, 0))
+    den = ppow({(0, 0, 0): 1, (2, 0, 0): -1}, pl._kappa(s.link))
+    return hat_normalize(pdivexact(num, den))[0]
+
+
+@pytest.mark.parametrize("dsl", KHOVANOV_LINKS)
+def test_khovanov_other_recipe_is_one_rank_lower(dsl):
+    """`spec_khovanov` raises InexactDivision where its division is not
+    exact, so N = 0..4 are exact here as well."""
+    s = sup(dsl)
+    for N in range(1, 6):
+        assert _khovanov_b(s, N) == pl.spec_khovanov(s, N - 1), N
 
 
 def test_standard_parameters_t42():
@@ -472,6 +507,21 @@ def test_moves_on_padded_word():
     pair = parse_dsl("{[3,2],[1,0]->(1)}")
     rep = pl.check_symmetries(pair, ["moves"], rank=1)
     assert rep["moves"]["ok"] and rep["moves"]["tried"]
+
+
+@pytest.mark.parametrize("dsl,check,reason", [
+    ("{()->(1)}", "lifts", "no vertices"),
+    (TREFOIL, "moves", "no applicable site"),
+    # the paths part at the second [1,1] vertex, so `contract_r1` refuses
+    # it, and the first vertex is never contracted
+    ("{[1,1],[1,1],[3,2]->(1) | ^2 [1,1],[1,1],[2,1]->(1)}", "moves",
+     "no applicable site"),
+    (TREFOIL, "phi_swap", "needs a plain pair"),
+    (T32_MERIDIAN_V, "phi_swap", "needs a plain pair"),
+])
+def test_a_check_with_nothing_to_check_is_skipped(dsl, check, reason):
+    rep = pl.check_symmetries(parse_dsl(dsl), [check], rank=1)
+    assert rep[check] == {"ok": True, "skipped": reason}
 
 
 def test_lift_independence():
@@ -614,6 +664,8 @@ def test_cofactor_power_is_read_from_the_a_degrees():
     assert pl._cofactor_ok(p2, p1)
     bad = pmul(pmul(ppow(one_a, 2), poly_parse("1 + q")), p2)
     assert not pl._cofactor_ok(bad, p2)
+    # p2 does not divide: the division is inexact
+    assert not pl._cofactor_ok(poly_parse("1 + q + a"), p2)
 
 
 def test_unknown_check_fails_before_any_check(monkeypatch):
@@ -776,6 +828,13 @@ def test_an_empty_component_is_a_bad_link(link, capsys):
 def test_hopf_vertex_of_no_colors_is_refused():
     with pytest.raises(ValueError, match="at least one path"):
         pl.hopf_vertex(())
+
+
+def test_cli_rank_below_one_is_refused(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["rank", TREFOIL, "0"])
+    assert e.value.code == 2
+    assert "rank must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_rank_too_small(capsys):

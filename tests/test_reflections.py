@@ -14,8 +14,8 @@ import pytest
 
 from dahalink import pipeline as pl
 from dahalink.daha import (
-    get_rep, word_of_rs, _core_project, apply_weights, gamma_hat_project,
-    xp_add_into, xp_mul, xp_one,
+    get_rep, word_of_rs, apply_weights, gamma_hat_project, xp_add_into,
+    xp_mul, xp_one,
 )
 from dahalink.macdonald import get_mac
 from dahalink.scalars import pmono
@@ -26,8 +26,8 @@ from chains import xp_mono
 
 WORDS = {rs: word_of_rs(*rs)
          for rs in [(3, 2), (2, 1), (1, 1), (1, -1), (3, -2), (2, 3), (5, 2)]}
-# `pipeline._check_lifts`'s word: identity pairs on both sides, the
-# trailing tau_+ letters kept
+# `pipeline._check_lifts`'s word: identity pairs on both sides, so that it
+# ends in tau_+ letters
 WORDS["lifts"] = ((('+', 1), ('+', -1)) + word_of_rs(3, 2)
                   + (('+', 1), ('+', -1)))
 SHORT = [(2, 1), (1, 1), (1, -1)]
@@ -60,7 +60,7 @@ def test_core_project_matches_the_chain_on_J(n):
             Q = mac.J(lam)
             for key in words:
                 w = WORDS[key]
-                assert (_core_project(w, Q, rep)
+                assert (gamma_hat_project(w, Q, rep)
                         == chains.core_project(w, Q, rep)), (lam, key)
 
 
@@ -75,7 +75,7 @@ def test_core_project_matches_the_chain_on_products_and_cables(n):
     for Q, words in cases:
         for key in words:
             w = WORDS[key]
-            assert (_core_project(w, Q, rep)
+            assert (gamma_hat_project(w, Q, rep)
                     == chains.core_project(w, Q, rep)), key
 
 
@@ -85,15 +85,17 @@ def _fY_cases(n):
     rep, mac = get_rep(n), get_mac(n)
     J = mac.J
     cases = [(J((1,)), J((1,))),
-             (J((1,)), _core_project(WORDS[(3, 2)], J((1,)), rep)),
+             (J((1,)), gamma_hat_project(WORDS[(3, 2)], J((1,)), rep)),
              (J((1,)), xp_mul(J((1,)), J((1,)))),
              (J((2,)), _inner_cable(n)),
-             (J((1,)), _core_project(WORDS["lifts"], _inner_cable(n), rep))]
+             (J((1,)), gamma_hat_project(WORDS["lifts"], _inner_cable(n),
+                                         rep))]
     if n > 1:
-        cases += [(J((1, 1)), _core_project(WORDS[(3, -2)], J((1,)), rep)),
+        cases += [(J((1, 1)),
+                   gamma_hat_project(WORDS[(3, -2)], J((1,)), rep)),
                   (J((2, 1)), J((1,)))]
     if n < 4:
-        cases += [(J((2,)), _core_project(WORDS[(2, 3)], J((2,)), rep))]
+        cases += [(J((2,)), gamma_hat_project(WORDS[(2, 3)], J((2,)), rep))]
     return cases
 
 

@@ -105,6 +105,7 @@ def test_diagram_examples():
     assert to_diagram(b) == (3, 2)
     assert diagram_union((2,), (1, 1)) == (2, 1)
     assert transpose(transpose((3, 1))) == (3, 1)
+    assert transpose(()) == ()
 
 
 def test_to_weight_rank_guard():
