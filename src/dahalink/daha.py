@@ -45,8 +45,8 @@ words, and the projection, as they are.  `apply_weights` builds O_b g
 with the image words of O_{omega_r} for dominant b only; every other
 weight is one T_i away from a weight nearer the dominant chamber, by the
 affine Hecke relation between T_i and O_b (Lusztig, J. AMS 2 (1989)),
-which holds on g because T_i g = t^{1/2} g there.  `Rep.y_op` is the plain
-product of Y_{+-omega_r} steps, for any f.
+which holds on g because T_i g = t^{1/2} g there.  The plain product of
+Y_{+-omega_r} steps, for any g, is kept as a test oracle (`tests/chains.py`).
 
 The pipeline's value is a coinvariant, and the coinvariant satisfies
 {T_i h} = t^{1/2} {h} for i = 1..n and any h (Cherednik, arXiv:1111.6195).
@@ -403,19 +403,6 @@ class Rep:
         if sign == 1:
             return (('P', r, 1),) + tuple(('T', i, 1) for i in word)
         return tuple(('T', i, -1) for i in reversed(word)) + (('P', r, -1),)
-
-    def y_op(self, b, f):
-        """Y_b f as the product of the fundamental steps Y_{+-omega_r},
-        coordinate n first; it needs nothing of f.  No caller in the
-        package remains: the tests use it as the reference route, valid
-        for any f, against `apply_weights` and in the span solve of E."""
-        for r in range(self.n, 0, -1):
-            l = b[r - 1]
-            if l:
-                atoms = self.y_atoms(r, 1 if l > 0 else -1)
-                for _ in range(abs(l)):
-                    f = self.apply_atoms(atoms, f)
-        return f
 
     # -- coinvariant -----------------------------------------------------
 

@@ -33,9 +33,6 @@ class StabilizationFailed(Exception):
     pass
 
 
-MAX_WINDOW_SHIFTS = 3
-
-
 # ---------------------------------------------------------------------------
 # pre-polynomials
 
@@ -77,7 +74,7 @@ def _apply_fY(rep, f, g, sign=1):
 
     g must be symmetric (T_i g = t^{1/2} g for i = 1..n): `apply_weights`
     reaches every Y_b with b not dominant by a reflection, which holds only
-    on such g.  `Rep.y_op` is the route for any g."""
+    on such g.  `tests/chains.py` keeps the route for any g."""
     if sign == 1:
         f = {wt.wt_neg(b): c for b, c in f.items()}
     return rep.coinvariant(apply_weights(rep, f, rep.y_steps, g, -1,
@@ -188,27 +185,33 @@ def _interpolate_a(row, ranks, val):
 
 
 def _at_rank(poly, m):
-    """Specialize a = -t^{m+1} and hat-normalize."""
-    return hat_normalize(psubstitute(poly, a=(-1, 0, m + 1, 0)))[0]
+    """Specialize a = -t^{m+1} and hat-normalize; {} where it vanishes,
+    which no rank value does."""
+    p = psubstitute(poly, a=(-1, 0, m + 1, 0))
+    return hat_normalize(p)[0] if p else {}
 
 
 def superpolynomial(pair, norm="min"):
     """The polynomial in a whose value at a = -t^{m+1} is the rank-m value.
 
-    Ranks are added one at a time from the longest color's length, each
-    extending Newton's divided-difference table in a; the first zero
-    difference ends the window.  `ranks` are the nodes of the result, so its
-    a-degree is len(ranks) - 1, and `verified_rank` is the rank whose
-    difference was zero: the result already took its value there.  An
-    inexact division, or no zero difference within the a-degree bound
-    (5.40), moves the start up by one rank; ranks already evaluated are
-    reused.  After MAX_WINDOW_SHIFTS shifts it raises StabilizationFailed.
+    Ranks are added one at a time from a start rank, each extending
+    Newton's divided-difference table in a; the first zero difference ends
+    the window.  `ranks` are the nodes of the result, so its a-degree is
+    len(ranks) - 1, and `verified_rank` is the rank whose difference was
+    zero: the result already took its value there.  The a-degree bound
+    (5.40) limits both the window and its start: the first start is the
+    longest color's length, and an inexact division, or no zero difference
+    within the bound, moves it up by one rank, at most `bound` times; ranks
+    already evaluated are reused.  A window that starts above the first
+    start must take each skipped rank's value there too (`_at_rank`),
+    otherwise StabilizationFailed names that rank.  A link that never
+    stabilizes raises StabilizationFailed at rank first + 2 bound + 1.
     """
     low = lower_twist(pair)
     bound = deg_a_bound(pair, norm)
-    m0 = max([1] + [len(c) for c in _all_colors(low)])
+    first = max([1] + [len(c) for c in _all_colors(low)])
     vals = {}
-    for _ in range(MAX_WINDOW_SHIFTS + 1):
+    for m0 in range(first, first + bound + 1):
         ranks, row, out, basis = [], [], {}, pone()
         for m in range(m0, m0 + bound + 2):
             if m not in vals:
@@ -219,16 +222,20 @@ def superpolynomial(pair, norm="min"):
                 break
             if ranks and not row[-1]:
                 poly, shift = hat_normalize(out)
+                for r in range(first, m0):
+                    if _at_rank(poly, r) != vals[r]:
+                        raise StabilizationFailed(
+                            f"the window {tuple(ranks)} of {pair} does not "
+                            f"take the value of the skipped rank {r}")
                 return SuperPoly(poly, shift, norm, tuple(ranks), m, pair,
                                  len(ranks) - 1)
             # Newton form: coefficient k times prod over ranks[:k] of a+t^{r+1}
             padd_into(out, pmul(row[-1], basis))
             basis = pmul(basis, {(0, 0, 1): 1, (0, m + 1, 0): 1})
             ranks.append(m)
-        m0 += 1
     raise StabilizationFailed(
         f"no zero Newton difference within the a-degree bound {bound} "
-        f"after {MAX_WINDOW_SHIFTS} window shifts for {pair}")
+        f"from any start rank {first}..{first + bound} for {pair}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +389,7 @@ def check_symmetries(pair, suite, rank=1, norm="min", sup=None):
 
 
 def _check_lifts(low, rank, norm, sup):
-    base = jd(low, rank, norm).poly
-    forest = low.first
-    labels = [l for p in forest.paths for l in p.labels]
+    labels = [l for p in low.first.paths for l in p.labels]
     if not labels:
         return {"ok": True, "skipped": "no vertices"}
     # same matrix, different words: the lift of the word with an identity
@@ -395,13 +400,13 @@ def _check_lifts(low, rank, norm, sup):
     alt = (('+', 1), ('+', -1)) + w + (('+', 1), ('+', -1))
     probe = get_mac(rank).J((1,))
     ok = gamma_hat_project(w, probe, rep) == gamma_hat_project(alt, probe, rep)
-    return {"ok": ok, "word": w, "base": poly_text(base)}
+    return {"ok": ok, "word": w,
+            "base": poly_text(jd(low, rank, norm).poly)}
 
 
 def _check_moves(low, rank, norm, sup):
-    base = jd(low, rank, norm).poly
     lam = norm_diagram(low, norm)
-    tried = []
+    base, tried = None, []
     for comp, forest in enumerate(low.forests()):
         for j, p in enumerate(forest.paths):
             for i, (r, s) in enumerate(p.labels, start=1):
@@ -418,6 +423,8 @@ def _check_moves(low, rank, norm, sup):
                 # color it names
                 mnorm = norm if norm in ("min", "none") else \
                     ("j_o", _all_colors(moved).index(lam))
+                if base is None:
+                    base = jd(low, rank, norm).poly
                 got = jd(moved, rank, mnorm).poly
                 tried.append((move.__name__, (comp, j, i), got == base))
     ok = all(t[2] for t in tried)

@@ -2,7 +2,8 @@
 
 Every O_b g is built from O_{b'} g for a shorter weight b' by one step
 O_{+-omega_r}, so no relation with T_i is used and any g will do; the
-reflections of `apply_weights` are checked against it.
+reflections of `apply_weights` are checked against it.  `y_op` is the same
+idea for one weight: Y_b as a product of fundamental steps.
 """
 
 from dahalink import weights as wt
@@ -56,6 +57,19 @@ def y_steps(rep):
     """The fundamental steps Y_{+-omega_r}."""
     return {(r, s): (0, rep.y_atoms(r, s))
             for r in range(1, rep.n1) for s in (1, -1)}
+
+
+def y_op(rep, b, f):
+    """Y_b f as the product of the fundamental steps Y_{+-omega_r},
+    coordinate n first; it needs nothing of f.  The reference route, valid
+    for any f, against `apply_weights` and in the span solve of E."""
+    for r in range(rep.n, 0, -1):
+        l = b[r - 1]
+        if l:
+            atoms = rep.y_atoms(r, 1 if l > 0 else -1)
+            for _ in range(abs(l)):
+                f = rep.apply_atoms(atoms, f)
+    return f
 
 
 def core_project(word, Q, rep):

@@ -8,7 +8,7 @@ reaches (a dependency cycle means Y is not triangular):
     x_c  =  (sum_{d != c} (Y_i X_d)_c x_d) / (lam_b - lam_c)
 
 All divisions are by monomial differences lam_b - lam_c, i.e. by binomial
-atoms, so the coefficients are Scals.  The Y-columns come from `Rep.y_op`,
+atoms, so the coefficients are Scals.  The Y-columns come from `chains.y_op`,
 one monomial at a time, and no intertwiner is used.
 """
 
@@ -18,7 +18,7 @@ from itertools import permutations
 
 from dahalink import weights as wt
 from dahalink.scalars import FactoredBinomial, binomial_fb, _ex
-from chains import xp_mono
+from chains import xp_mono, y_op
 from scal import Scal
 from weyl import sharp_point
 
@@ -78,7 +78,7 @@ def eigen_exp(rep, i, c):
 
 def span_solve(rep, b):
     """E_b as {weight: Scal}, with coefficient 1 at X_b, solved on the span
-    of b from the Y-columns of `rep.y_op`."""
+    of b from the Y-columns of `chains.y_op`."""
     n = rep.n
     b = tuple(b)
     span = span_weights(b)
@@ -100,7 +100,7 @@ def span_solve(rep, b):
     cols = {i: {} for i in set(direction.values())}
     for i in cols:
         for d in span:
-            col = rep.y_op(rep.omegas[i], xp_mono(d))
+            col = y_op(rep, rep.omegas[i], xp_mono(d))
             eq, et = eigen_exp(rep, i, d)
             if col.get(d) != rep.to_lattice({(eq, et, 0): 1}):
                 raise NonTerminating(f"Y_{i} not triangular at {d}")

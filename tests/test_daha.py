@@ -15,7 +15,7 @@ from dahalink.daha import (
     lp_divexact, lp_shift, word_matrix, word_of_rs, gamma_hat_project,
 )
 from dahalink.macdonald import get_mac
-from chains import xp_mono
+from chains import xp_mono, y_op
 from weyl import diagrams, pairing
 from factoring import scal_inv
 from scal import Scal
@@ -342,7 +342,7 @@ def test_pi_inverse():
 def test_y_on_one():
     # Y_b(1) = q^{(rho_k, b)}: A_1 Y_omega(1) = t^{1/2}
     rep = get_rep(1)
-    got = to_scal(rep, rep.y_op((1,), xp_one(1)))
+    got = to_scal(rep, y_op(rep, (1,), xp_one(1)))
     assert sx.xp_eq(got, sx.xp_scale(sx.xp_one(1), T_HALF))
 
 
@@ -353,14 +353,14 @@ def test_y_commute(n):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             oi, oj = rep.omegas[i], rep.omegas[j]
-            assert (rep.y_op(oi, rep.y_op(oj, f))
-                    == rep.y_op(oj, rep.y_op(oi, f)))
+            assert (y_op(rep, oi, y_op(rep, oj, f))
+                    == y_op(rep, oj, y_op(rep, oi, f)))
 
 
 def test_y_eigenvalue_on_X():
     # A_1: Y_omega(X) = q^{-1/2} t^{-1/2} X   (b-sharp = omega + rho_k)
     rep = get_rep(1)
-    got = to_scal(rep, rep.y_op((1,), xp_mono((1,))))
+    got = to_scal(rep, y_op(rep, (1,), xp_mono((1,))))
     want = sx.xp_scale(sx.xp_mono((1,)), Scal.mono(eq=-HALF, et=-HALF))
     assert sx.xp_eq(got, want)
 
@@ -368,7 +368,7 @@ def test_y_eigenvalue_on_X():
 def test_y_inverse():
     rep = get_rep(2)
     f = basket(2, 7)[2]
-    g = rep.y_op((1, 1), rep.y_op((-1, -1), f))
+    g = y_op(rep, (1, 1), y_op(rep, (-1, -1), f))
     assert g == f
 
 

@@ -300,6 +300,16 @@ def test_hopf_star_order_symmetric():
     assert a == b
 
 
+@pytest.mark.slow
+def test_six_leg_hopf_vertex():
+    """Its window starts 4 ranks up, at the bound's limit of 5 (4-7 s)."""
+    s = pl.hopf_vertex(((1,),) * 6).super
+    text = poly_text(s.poly) + repr(s.shift)
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == "c36ac6f9df40"
+    assert s.ranks == (5, 6, 7, 8, 9, 10) and s.verified_rank == 11
+    assert pl.spec_alexander(s) == ppow(poly_parse("1 - q^6"), 4)
+
+
 def test_hopf_dagger_unknot():
     v = pl.hopf_vertex(((1,), (1,)))
     assert v.super.poly == poly_parse("1 + a*q + a*t^-1 - a*q*t^-1")
@@ -408,6 +418,17 @@ def test_alexander_matches_cabling_formula(dsl):
             scale *= rr
         want = pmul(want, _torus_alexander(r, a, scale))
     assert pl.spec_alexander(sup(dsl)) == hat_normalize(want)[0]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_alexander_of_the_k_star(k, sign):
+    """The k-star is T(k, k) or its mirror: Alexander polynomial
+    (q^k - 1)^{k-2} (q - 1), over 1 - q for a link.  The negative 3-, 4-
+    and 5-stars start their windows 1, 2 and 3 ranks up."""
+    dsl = "{" + " | ".join([f"[1,{sign}]->(1)"] * k) + "}"
+    want = ppow(poly_parse(f"1 - q^{k}"), k - 2)
+    assert pl.spec_alexander(sup(dsl)) == want
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3),
@@ -519,7 +540,12 @@ def test_moves_on_padded_word():
     (TREFOIL, "phi_swap", "needs a plain pair"),
     (T32_MERIDIAN_V, "phi_swap", "needs a plain pair"),
 ])
-def test_a_check_with_nothing_to_check_is_skipped(dsl, check, reason):
+def test_a_check_with_nothing_to_check_is_skipped(dsl, check, reason,
+                                                  monkeypatch):
+    def no_rank(*args, **kwargs):
+        raise AssertionError("a skipped check evaluated a rank")
+    monkeypatch.setattr(pl, "jd", no_rank)
+    monkeypatch.setattr(pl, "jd_raw", no_rank)
     rep = pl.check_symmetries(parse_dsl(dsl), [check], rank=1)
     assert rep[check] == {"ok": True, "skipped": reason}
 
@@ -754,7 +780,47 @@ def test_no_zero_difference_exhausts_the_shifts(monkeypatch):
     monkeypatch.setattr(pl, "jd", planted)
     with pytest.raises(pl.StabilizationFailed):
         pl.superpolynomial(parse_dsl(TREFOIL))
-    assert calls == [1, 2, 3, 4, 5, 6]
+    # the trefoil's bound is 2: starts 1, 2 and 3
+    assert calls == [1, 2, 3, 4, 5]
+
+
+def _planted_ranks(monkeypatch, S, bad=None):
+    """Rank values _at_rank(S, m), with rank `bad` replaced by 1 + t^99."""
+    def planted(pair, rank, norm="min"):
+        poly = poly_parse("1 + t^99") if rank == bad else pl._at_rank(S, rank)
+        return SimpleNamespace(poly=poly)
+    monkeypatch.setattr(pl, "jd", planted)
+
+
+def test_window_start_may_move_up_to_the_bound(monkeypatch):
+    """Below rank 5 the hat-normalization of 1 - q t^{m-5} leads with
+    another term, so the window starts 4 ranks up; {[5,2]->(1)} has bound
+    4, and the skipped ranks 1-4 take the result's values."""
+    S = poly_parse("1 + a*q*t^-6")
+    _planted_ranks(monkeypatch, S)
+    s = pl.superpolynomial(parse_dsl("{[5,2]->(1)}"))
+    assert s.poly == S and s.ranks == (5, 6) and s.verified_rank == 7
+
+
+def test_a_skipped_rank_that_disagrees_raises(monkeypatch):
+    """The window (4, 5) stabilizes, but rank 2 is not its value there."""
+    _planted_ranks(monkeypatch, poly_parse("1 + a*q*t^-5"), bad=2)
+    with pytest.raises(pl.StabilizationFailed, match="skipped rank 2$"):
+        pl.superpolynomial(parse_dsl("{[5,2]->(1)}"))
+
+
+def test_a_skipped_rank_that_vanishes_raises(monkeypatch):
+    """The window (2, 3) gives 1 + a t^-2, which vanishes at a = -t^2,
+    rank 1, where the rank value is 1 + t^99."""
+    _planted_ranks(monkeypatch, poly_parse("1 + a*t^-2"), bad=1)
+    with pytest.raises(pl.StabilizationFailed, match="skipped rank 1$"):
+        pl.superpolynomial(parse_dsl("{[5,2]->(1)}"))
+
+
+def test_stab_extra_fails_where_the_result_vanishes():
+    s = SimpleNamespace(poly=poly_parse("1 + a*t^-2"), verified_rank=0)
+    rep = pl.check_symmetries(parse_dsl(TREFOIL), ["stab_extra"], sup=s)
+    assert rep["stab_extra"] == {"ok": False, "rank": 1}
 
 
 # sha256(poly_text(poly) + repr(shift))[:12] and the window of deeper

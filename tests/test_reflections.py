@@ -171,17 +171,17 @@ def test_Y_reflects_on_a_symmetric_g(n, i, b, lam):
     g = get_mac(n).J(lam)
 
     def value(c):
-        return rep.y_op(c, g)
+        return chains.y_op(rep, c, g)
 
     assert value(b) == _reflected(rep, value, b, i, -1)
 
 
 def test_the_reflection_needs_a_symmetric_g():
     """On X_omega, which T_1 does not fix up to t^{1/2}, the reflected
-    Y_{-omega} is wrong; `Rep.y_op` takes the steps alone."""
+    Y_{-omega} is wrong; `chains.y_op` takes the steps alone."""
     rep = get_rep(1)
     g = xp_mono((1,))
     f = {(-1,): {0: 1}}
     assert (apply_weights(rep, f, rep.y_steps, g, -1)
-            != rep.y_op((-1,), g))
-    assert rep.y_op((1,), rep.y_op((-1,), g)) == g
+            != chains.y_op(rep, (-1,), g))
+    assert chains.y_op(rep, (1,), chains.y_op(rep, (-1,), g)) == g

@@ -8,7 +8,7 @@ SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                      "perfbench", "spans.py")
 
 # taken out of the pipeline on purpose; perfbench/spans.py still names them
-REMOVED = {"scalars.factor_binomials", "scalars.Scal.inv"}
+REMOVED = {"scalars.factor_binomials", "scalars.Scal.inv", "daha.Rep.y_op"}
 
 
 def _spans():
